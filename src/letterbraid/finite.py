@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .rings import Matrix, rref, row_hermite
-from . import rings
+from .rings import echelon, elementary_divisors
 
 
 class FiniteGroupTable:
@@ -60,11 +59,29 @@ class FiniteGroupTable:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["size"], data["mul"], data["gens"])
+        """A table from its JSON object; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("table JSON must be an object")
+        missing = [key for key in ("size", "mul", "gens") if key not in data]
+        if missing:
+            raise ValueError(f"table JSON lacks {missing[0]!r}")
+        size, mul, gens = data["size"], data["mul"], data["gens"]
+        if not _is_int(size) or size < 1:
+            raise ValueError("table 'size' must be a positive integer")
+        if not isinstance(mul, list) or not all(
+                isinstance(row, list) and all(_is_int(v) for v in row) for row in mul):
+            raise ValueError("table 'mul' must be a list of integer rows")
+        if not isinstance(gens, dict) or not all(_is_int(v) for v in gens.values()):
+            raise ValueError("table 'gens' must map generator names to integers")
+        return cls(size, mul, gens)
 
     def to_json(self):
         return {"size": self.size, "mul": [list(r) for r in self.mul],
                 "gens": dict(self.gens)}
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def word_image(table, w):
@@ -82,16 +99,13 @@ def word_image(table, w):
 
 
 def _convolve(ring, table, u, v):
-    out = [ring.zero] * table.size
-    for g, a in enumerate(u):
-        if a == ring.zero:
-            continue
+    """Product of two sparse group-algebra elements {element: coefficient}."""
+    out = {}
+    for g, a in u.items():
         row = table.mul[g]
-        for h, b in enumerate(v):
-            if b == ring.zero:
-                continue
+        for h, b in v.items():
             k = row[h]
-            out[k] = ring.add(out[k], ring.mul(a, b))
+            out[k] = ring.add(out.get(k, ring.zero), ring.mul(a, b))
     return out
 
 
@@ -102,35 +116,18 @@ def ideal_power_dims(table, ring, N):
     (free rank, elementary divisors of I^k) pairs.
     """
     n = table.size
-    aug_basis = []
-    for g in range(n):
-        if g == table.identity:
-            continue
-        v = [ring.zero] * n
-        v[g] = ring.one
-        v[table.identity] = ring.neg(ring.one)
-        aug_basis.append(v)
-
-    def reduce_span(vectors):
-        if not vectors:
-            return []
-        if ring.is_field:
-            rows, _ = rref(ring, vectors)
-        else:
-            rows, _ = row_hermite(vectors)
-        return [r for r in rows if any(x != ring.zero for x in r)]
-
+    aug_basis = [{g: ring.one, table.identity: ring.neg(ring.one)}
+                 for g in range(n) if g != table.identity]
     out = []
-    power = reduce_span(aug_basis)
+    power, _ = echelon(ring, aug_basis)
     for _ in range(N):
         if ring.is_field:
             out.append(n - len(power))
         else:
-            mat = Matrix(rings.ZZ, power, cols=n) if power else Matrix(rings.ZZ, [], cols=n)
-            divisors = rings.elementary_divisors(mat) if power else []
-            out.append((n - len(power), tuple(d for d in divisors if d not in (0, 1))))
+            divisors = elementary_divisors(power, len(power))
+            out.append((n - len(power), tuple(d for d in divisors if d != 1)))
         products = [_convolve(ring, table, v, w) for v in power for w in aug_basis]
-        power = reduce_span(products)
+        power, _ = echelon(ring, products)
     return out
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .magnus import TruncSeries, magnus_expand
 from .presented import (GroupHom, build_truncated_quotient, invariants_basis,
                         pullback)
-from .rings import Matrix, membership
+from .rings import reduce
 from .tensors import format_tensor
 from .words import Word, parse_word, substitute
 
@@ -153,10 +153,10 @@ def johnson_tau(P, endo, stage, ring):
     """The dual Johnson homomorphism of an endomorphism at a given stage.
 
     Requires level >= stage.  Each weight-(stage+1) basis invariant T is
-    sent to T - phi^*(T); the result is asserted to have weight <= 1 and is
-    expressed in the weight-1 invariant basis.  Lower-weight invariants are
-    checked to be fixed, so the matrix depends only on classes modulo
-    lower weight.
+    sent to T - phi^*(T); the result must have weight <= 1 and is expressed
+    in the weight-1 invariant basis.  Lower-weight invariants must be
+    fixed, so the matrix depends only on classes modulo lower weight.  Each
+    failed requirement raises ValueError.
     """
     order = stage + 2
     Q, vals = _generator_valuations(P, endo, ring, order)
@@ -173,14 +173,15 @@ def johnson_tau(P, endo, stage, ring):
              if w <= stage]
     for elt, _ in lower:
         if pullback(hom, elt, Q) != elt:
-            raise AssertionError(
+            raise ValueError(
                 "pullback moved an invariant of weight <= stage; tau would "
                 "not be well defined modulo lower weight")
     weight1 = [(e, v) for e, w, v in zip(basis.elements, basis.weights, basis.vectors)
                if w == 1]
-    col_matrix = Matrix(ring, [[v[i] for _, v in weight1]
-                               for i in range(len(Q.monomials))],
-                        cols=len(weight1))
+    # Basis vectors are echelon rows: each one's pivot is its leftmost
+    # entry, and the pivots are distinct, so the coefficients are unique.
+    w1_rows = [{i: x for i, x in enumerate(v) if x} for _, v in weight1]
+    w1_pivots = [min(row) for row in w1_rows]
     rows = []
     labels = []
     for elt, w in zip(basis.elements, basis.weights):
@@ -188,12 +189,13 @@ def johnson_tau(P, endo, stage, ring):
             continue
         delta = elt.sub(pullback(hom, elt, Q))
         if delta.weight > 1:
-            raise AssertionError("tau image has weight > 1")
+            raise ValueError("tau image has weight > 1")
         if delta.counit != ring.zero:
-            raise AssertionError("tau image has a unit part")
-        coeffs = membership(col_matrix, Q.tensor_vector(delta))
-        if coeffs is None:
-            raise AssertionError(
+            raise ValueError("tau image has a unit part")
+        remainder, coeffs = reduce(ring, w1_rows, w1_pivots,
+                                   {Q.index[k]: x for k, x in delta.terms.items()})
+        if remainder:
+            raise ValueError(
                 "tau image is not a combination of weight-1 invariants")
         rows.append(coeffs)
         labels.append(format_tensor(elt))

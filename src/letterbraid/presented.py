@@ -9,21 +9,28 @@ series m1 * (M(r) - 1) * m2 over monomial pairs with
 deg(m1) + deg(m2) <= order - 2 (higher sandwiches vanish because
 M(r) - 1 has valuation at least one).
 
-Over a field the span is kept as reduced echelon rows; over the integers
-as Hermite rows, so normal forms are canonical and membership questions
-are integral.  Integer torsion is reported through elementary divisors,
-never silently dropped.
+The sandwich columns are sparse rows and are eliminated once, by
+``rings.echelon``: reduced echelon rows over a field, Hermite rows over the
+integers.  Every answer is read off those rows.  Normal forms are
+canonical remainders (``rings.reduce``), so membership questions are
+integral.  The filtration degree of a vector is the lowest monomial
+degree left in its normal form: monomials are in graded-lex order, every
+pivot is its row's leftmost entry and the normal form is reduced at every
+pivot, so no element of the span can cancel its lowest-degree part.  The
+invariants are the annihilator of the span, read off its echelon form.
+Integer torsion is reported through elementary divisors, never silently
+dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from . import rings
 from .magnus import TruncSeries, magnus_expand, trunc_mul
-from .rings import Matrix, kernel_basis, membership, rref, row_hermite
-from .tensors import TensorElement, format_tensor
+from .rings import annihilator, echelon, elementary_divisors, reduce
+from .tensors import TensorElement
 from .words import Alphabet, Word, free_reduce, parse_word, substitute
 
 
@@ -94,7 +101,7 @@ class TruncatedQuotient:
 
     __slots__ = ("ring", "alphabet", "order", "presentation", "monomials",
                  "index", "columns", "column_meta", "span_rows", "span_pivots",
-                 "elementary_divisors", "_image_cache")
+                 "elementary_divisors")
 
     def __init__(self, presentation, order, ring):
         if order < 1:
@@ -113,8 +120,6 @@ class TruncatedQuotient:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.columns = []
         self.column_meta = []
-        zero = ring.zero
-        nmons = len(self.monomials)
         for ri, rel in enumerate(presentation.relators):
             series = magnus_expand(rel, order, ring)
             # M(r) always has constant coefficient exactly 1, so M(r) - 1
@@ -126,29 +131,19 @@ class TruncatedQuotient:
                 for d2 in range(order - 1 - d1):
                     for m1 in itertools.product(range(k), repeat=d1):
                         for m2 in itertools.product(range(k), repeat=d2):
-                            col = [zero] * nmons
+                            col = {}
                             for key, val in shifted.items():
                                 full = m1 + key + m2
                                 if len(full) < order:
                                     j = self.index[full]
-                                    col[j] = ring.add(col[j], val)
-                            if any(c != zero for c in col):
+                                    col[j] = ring.add(col.get(j, ring.zero), val)
+                            col = {j: x for j, x in col.items() if x}
+                            if col:
                                 self.columns.append(col)
                                 self.column_meta.append((m1, ri, m2))
-        if ring.is_field:
-            self.span_rows, self.span_pivots = rref(ring, self.columns) \
-                if self.columns else ([], [])
-            self.elementary_divisors = None
-        else:
-            if self.columns:
-                hnf, pivots = row_hermite(self.columns)
-                self.span_rows, self.span_pivots = hnf[:len(pivots)], pivots
-                div_mat = Matrix(rings.ZZ, self.columns, cols=nmons)
-                self.elementary_divisors = rings.elementary_divisors(div_mat)
-            else:
-                self.span_rows, self.span_pivots = [], []
-                self.elementary_divisors = []
-        self._image_cache = {}
+        self.span_rows, self.span_pivots = echelon(ring, self.columns)
+        self.elementary_divisors = None if ring.is_field else elementary_divisors(
+            self.span_rows, min(len(self.columns), len(self.monomials)))
 
     @property
     def rank(self):
@@ -178,48 +173,24 @@ class TruncatedQuotient:
             vec[self.index[key]] = val
         return vec
 
+    def _remainder(self, vec):
+        sparse = {i: x for i, x in enumerate(vec) if x}
+        return reduce(self.ring, self.span_rows, self.span_pivots, sparse)[0]
+
     def normal_form(self, vec):
         """Canonical representative of vec modulo the relator-ideal span."""
-        ring = self.ring
-        v = list(vec)
-        if ring.is_field:
-            for row, c in zip(self.span_rows, self.span_pivots):
-                f = v[c]
-                if f != ring.zero:
-                    v = [ring.sub(v[j], ring.mul(f, row[j])) for j in range(len(v))]
-        else:
-            for row, c in zip(self.span_rows, self.span_pivots):
-                q = v[c] // row[c]
-                if q:
-                    v = [v[j] - q * row[j] for j in range(len(v))]
-        return v
-
-    def _degree_image_matrix(self, k):
-        """Columns spanning image(monomials of degree >= k) + relator span."""
-        if k not in self._image_cache:
-            cols = []
-            for i, m in enumerate(self.monomials):
-                if len(m) >= k:
-                    e = [self.ring.zero] * len(self.monomials)
-                    e[i] = self.ring.one
-                    cols.append(e)
-            cols.extend(self.span_rows)
-            entries = [[col[i] for col in cols] for i in range(len(self.monomials))]
-            self._image_cache[k] = Matrix(self.ring, entries, cols=len(cols))
-        return self._image_cache[k]
+        nf = [self.ring.zero] * len(self.monomials)
+        for i, x in self._remainder(vec).items():
+            nf[i] = x
+        return nf
 
     def filtration_valuation(self, vec):
-        """Largest k <= order with NF(vec) in the image of degree >= k
-        monomials; returns order itself when the normal form vanishes
-        (meaning: at least the truncation order)."""
-        nf = self.normal_form(vec)
-        zero = self.ring.zero
-        if all(x == zero for x in nf):
-            return self.order
-        for k in range(self.order - 1, 0, -1):
-            if membership(self._degree_image_matrix(k), nf) is not None:
-                return k
-        return 0
+        """Largest k <= order with vec in the image of degree >= k monomials
+        plus the relator span; returns order itself when the normal form
+        vanishes (meaning: at least the truncation order).  This is the
+        lowest monomial degree in the support of the normal form."""
+        return min((len(self.monomials[i]) for i in self._remainder(vec)),
+                   default=self.order)
 
     def basis(self):
         """Representative monomials of a module basis (non-pivot monomials),
@@ -235,14 +206,9 @@ class TruncatedQuotient:
         return reps
 
 
-_QUOTIENT_CACHE = {}
-
-
+@functools.lru_cache(maxsize=64)
 def build_truncated_quotient(P, order, ring):
-    key = (P, order, ring)
-    if key not in _QUOTIENT_CACHE:
-        _QUOTIENT_CACHE[key] = TruncatedQuotient(P, order, ring)
-    return _QUOTIENT_CACHE[key]
+    return TruncatedQuotient(P, order, ring)
 
 
 def pair(Q, T, combo):
@@ -297,7 +263,7 @@ def is_invariant(P, T):
     Q = build_truncated_quotient(P, T.weight + 1, ring)
     vec = Q.tensor_vector(T)
     for col, meta in zip(Q.columns, Q.column_meta):
-        s = ring.sum(ring.mul(vec[i], col[i]) for i in range(len(vec)))
+        s = ring.sum(ring.mul(vec[i], x) for i, x in col.items())
         if s != ring.zero:
             m1, ri, m2 = meta
             return False, Witness(m1, ri, P.relators[ri], m2, s)
@@ -331,26 +297,16 @@ def invariants_basis(P, order, ring):
     elementary divisors attached as a torsion diagnostic."""
     Q = build_truncated_quotient(P, order, ring)
     nmons = len(Q.monomials)
-    if Q.columns:
-        constraint = Matrix(ring, Q.columns, cols=nmons)
-        vectors = kernel_basis(constraint)
-    else:
-        vectors = [[ring.one if j == i else ring.zero for j in range(nmons)]
-                   for i in range(nmons)]
-    if ring.is_field and vectors:
-        vectors, _ = rref(ring, vectors)
-    elements = []
-    for v in vectors:
-        terms = {Q.monomials[i]: v[i] for i in range(nmons) if v[i] != ring.zero}
-        elements.append(TensorElement(ring, P.alphabet, terms))
-    order_key = sorted(range(len(elements)),
-                       key=lambda i: (elements[i].weight,
-                                      min((Q.index[k] for k in elements[i].terms), default=-1)))
-    elements = [elements[i] for i in order_key]
-    vectors = [vectors[i] for i in order_key]
+    kernel = annihilator(ring, Q.span_rows, Q.span_pivots, nmons)
+    pairs = sorted(((TensorElement(ring, P.alphabet,
+                                   {Q.monomials[i]: x for i, x in v.items()}), v)
+                    for v in kernel), key=lambda ev: (ev[0].weight, min(ev[1])))
+    elements = [e for e, _ in pairs]
     return InvariantBasis(ring=ring, alphabet=P.alphabet, max_weight=order - 1,
                           elements=elements, weights=[e.weight for e in elements],
-                          vectors=vectors, monomials=Q.monomials,
+                          vectors=[[v.get(i, ring.zero) for i in range(nmons)]
+                                   for _, v in pairs],
+                          monomials=Q.monomials,
                           elementary_divisors=Q.elementary_divisors)
 
 
@@ -452,7 +408,3 @@ def pullback(h, T, Q_target):
     visit((), one)
     return TensorElement(ring, h.source, terms)
 
-
-def describe_invariant(T, weight=None):
-    return {"weight": T.weight if weight is None else weight,
-            "tensor": format_tensor(T)}

@@ -1,18 +1,22 @@
-"""Exact coefficient arithmetic over Z, Q and F_p, plus the dense integer and
-field linear-algebra kernels (echelon, Hermite, Smith) everything else calls.
+"""Exact coefficient arithmetic over Z, Q and F_p, plus the one sparse
+elimination kernel everything else calls: ``echelon`` (reduced echelon form
+over a field, row Hermite form over ZZ), ``reduce`` (canonical remainder and
+multipliers against such rows) and the Smith divisor chain of Hermite rows.
 
 Scalars are ordinary Python values: ``int`` for integer and prime-field
 coefficients (prime-field residues canonical in ``0..p-1``) and
 ``fractions.Fraction`` for rationals (always in lowest terms with positive
 denominator).  There is no floating point anywhere in this package.
 
-Matrices are dense, desk scale.  Integer kernels are always *saturated*:
-every integer solution of ``M v = 0`` is an integer combination of the
-returned basis.
+Vectors and matrix rows are sparse dicts ``{column: nonzero value}``.  Both
+echelon forms are canonical for the span, so answers read off them do not
+depend on the order in which rows arrive.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -263,349 +267,180 @@ class Scalar:
         return self.ring.format(self.value)
 
 
-class Matrix:
-    """Dense matrix over a RingSpec.  Entries are a list of row lists."""
-
-    __slots__ = ("ring", "rows", "cols", "entries")
-
-    def __init__(self, ring, entries, cols=None):
-        self.ring = ring
-        self.entries = [[ring.normalize(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        if self.rows:
-            self.cols = len(self.entries[0])
-            if any(len(row) != self.cols for row in self.entries):
-                raise ValueError("ragged matrix")
-        else:
-            self.cols = 0 if cols is None else cols
-
-    @classmethod
-    def identity(cls, ring, n):
-        return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)]
-                          for i in range(n)])
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError(f"dimension mismatch: {self.cols} columns, vector of length {len(v)}")
-        ring = self.ring
-        return [ring.sum(ring.mul(row[j], v[j]) for j in range(self.cols))
-                for row in self.entries]
-
-    def transpose(self):
-        return Matrix(self.ring,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                      cols=self.rows)
-
-    def __repr__(self):
-        return f"Matrix({self.ring!r}, {self.entries!r})"
-
-
-def mat_mul(A, B):
-    assert A.ring == B.ring and A.cols == B.rows
-    ring = A.ring
-    out = [[ring.sum(ring.mul(A.entries[i][k], B.entries[k][j]) for k in range(A.cols))
-            for j in range(B.cols)] for i in range(A.rows)]
-    return Matrix(ring, out, cols=B.cols)
-
-
 # ---------------------------------------------------------------------------
-# field elimination
+# sparse exact elimination
+#
+# A row is a dict {column: nonzero value}.  Echelon rows are kept with their
+# pivot as their smallest column, so reducing by the row with pivot c only
+# touches columns >= c.
 
-def rref(ring, rows_in):
-    """Reduced row echelon form over a field.  Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows_in]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != ring.zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ring.invert(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != ring.zero:
-                f = rows[i][c]
-                rows[i] = [ring.sub(rows[i][j], ring.mul(f, rows[r][j])) for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r]], pivots
+def echelon(ring, rows):
+    """Canonical echelon basis of the span of sparse rows.
 
+    Over a field this is the reduced row echelon form (pivots 1, every other
+    row zero at each pivot column).  Over ZZ it is the row Hermite normal
+    form of the row lattice (pivots positive, entries above a pivot in
+    ``[0, pivot)``).  Both are unique for the span, so equal spans give
+    equal answers.  Returns ``(rows, pivots)``, sorted by pivot column.
 
-def _field_solve(ring, M, b):
-    """One solution of M x = b over a field (free variables set to zero)."""
-    aug = [list(M.entries[i]) + [b[i]] for i in range(M.rows)]
-    rows, pivots = rref(ring, aug)
-    n = M.cols
+    The basis is kept in canonical form after every row, which bounds the
+    integer entries by the pivots.
+    """
+    basis = {}
     for row in rows:
-        if all(x == ring.zero for x in row[:n]) and row[n] != ring.zero:
-            return None
-    x = [ring.zero] * n
-    for row, c in zip(rows, pivots):
-        if c == n:
-            return None
-        x[c] = row[n]
-    return x
+        v = {c: x for c, x in row.items() if x}
+        _reduce(ring, v, basis)
+        while v:
+            c = min(v)
+            r = basis.get(c)
+            if r is None:
+                x = v[c]
+                if ring.is_field and x != ring.one:
+                    inv = ring.invert(x)
+                    v = {k: ring.mul(inv, y) for k, y in v.items()}
+                elif not ring.is_field and x < 0:
+                    v = {k: -y for k, y in v.items()}
+                basis[c] = v
+                _settle(ring, basis, c)
+                break
+            # Over ZZ only: 0 < v[c] < r[c] after reduction.
+            a, b = r[c], v[c]
+            g, s, t = _xgcd(a, b)
+            basis[c] = _combine(s, r, t, v)
+            v = _combine(a // g, v, -(b // g), r)
+            _settle(ring, basis, c)
+            _reduce(ring, v, basis)
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
-# ---------------------------------------------------------------------------
-# integer elimination: Hermite and Smith forms
+def _settle(ring, basis, c):
+    """Restore canonical form after the row with pivot c changed: reduce
+    it by the rows below, then every row above that meets column c."""
+    above = sorted((p for p, row in basis.items() if p < c and c in row), reverse=True)
+    for p in [c] + above:
+        row = basis[p]
+        head = row.pop(p)
+        _reduce(ring, row, basis)
+        basis[p] = {p: head, **row}
 
-def row_hermite(rows_in, transform=False):
-    """Row-style Hermite normal form of an integer matrix.
 
-    Returns (H, pivots) or (H, pivots, U) with U unimodular, U*M = H.
-    Pivots are positive, entries below a pivot vanish and entries above it
-    are reduced into [0, pivot).
+def reduce(ring, rows, pivots, vec):
+    """Reduce the sparse vector ``vec`` by echelon rows from ``echelon``.
+
+    Returns ``(remainder, multipliers)`` with ``vec = remainder + sum of
+    multipliers[i] * rows[i]``.  The remainder is the canonical
+    representative of ``vec`` modulo the span: zero at every pivot column
+    over a field, in ``[0, pivot)`` there over ZZ.  It is empty exactly
+    when ``vec`` lies in the span (over ZZ: in the row lattice).
     """
-    H = [list(r) for r in rows_in]
-    m = len(H)
-    n = len(H[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
-    pivots = []
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [i for i in range(r, m) if H[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(H[i][c]))
-            if i0 != r:
-                H[r], H[i0] = H[i0], H[r]
-                if transform:
-                    U[r], U[i0] = U[i0], U[r]
-            clean = True
-            for i in range(r + 1, m):
-                if H[i][c]:
-                    q = H[i][c] // H[r][c]
-                    H[i] = [H[i][j] - q * H[r][j] for j in range(n)]
-                    if transform:
-                        U[i] = [U[i][j] - q * U[r][j] for j in range(m)]
-                    if H[i][c]:
-                        clean = False
-            if clean:
-                break
-        if r < m and H[r][c] != 0:
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
-                if transform:
-                    U[r] = [-x for x in U[r]]
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q:
-                    H[i] = [H[i][j] - q * H[r][j] for j in range(n)]
-                    if transform:
-                        U[i] = [U[i][j] - q * U[r][j] for j in range(m)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-    if transform:
-        return H, pivots, U
-    return H, pivots
+    v = {c: x for c, x in vec.items() if x}
+    mult = _reduce(ring, v, dict(zip(pivots, rows)))
+    return v, [mult.get(c, ring.zero) for c in pivots]
 
 
-def kernel_basis(M):
-    """Basis of {v : M v = 0}.
+def _reduce(ring, v, basis):
+    """Reduce ``v`` in place by the echelon rows ``basis`` (pivot -> row),
+    pivot columns in increasing order; returns {pivot: multiplier}."""
+    field = ring.is_field
+    todo = [c for c in v if c in basis]
+    heapq.heapify(todo)
+    queued = set(todo)
+    mult = {}
+    while todo:
+        c = heapq.heappop(todo)
+        x = v.get(c)
+        if not x:
+            continue
+        row = basis[c]
+        q = x if field else x // row[c]
+        if not q:
+            continue
+        mult[c] = q
+        _subtract(ring, v, q, row)
+        for k in row:
+            if k not in queued and k in basis:
+                queued.add(k)
+                heapq.heappush(todo, k)
+    return mult
 
-    Over a field: a reduced-echelon basis of the kernel space.  Over ZZ: a
-    basis of the saturated kernel lattice (columns of the unimodular
-    transform matching the zero columns of the Hermite form), canonicalized
-    by a further row-Hermite pass.
-    """
-    ring = M.ring
-    if M.cols == 0:
-        return []
-    if M.rows == 0:
-        return [[ring.one if j == i else ring.zero for j in range(M.cols)]
-                for i in range(M.cols)]
+
+def _subtract(ring, v, q, row):
+    """v -= q * row, in place, dropping zeros."""
+    for k, y in row.items():
+        z = ring.sub(v.get(k, ring.zero), ring.mul(q, y))
+        if z:
+            v[k] = z
+        else:
+            v.pop(k, None)
+
+
+def _combine(s, u, t, v):
+    """The integer row s*u + t*v, without zeros."""
+    out = {k: s * y for k, y in u.items()}
+    for k, y in v.items():
+        out[k] = out.get(k, 0) + t * y
+    return {k: y for k, y in out.items() if y}
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def annihilator(ring, rows, pivots, ncols):
+    """Canonical basis of {u : u . row = 0 for every row}, for echelon rows
+    over ``ncols`` columns: the reduced echelon basis of the kernel over a
+    field, the Hermite basis of the kernel lattice over ZZ.  The lattice is
+    saturated: every integer solution is an integer combination of it."""
     if ring.is_field:
-        rows, pivots = rref(ring, M.entries)
+        # e_f - sum_i row_i[f] e_(pivot_i) for every free column f.
         pivot_set = set(pivots)
-        free = [c for c in range(M.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [ring.zero] * M.cols
-            v[f] = ring.one
-            for row, c in zip(rows, pivots):
-                v[c] = ring.neg(row[f])
-            basis.append(v)
-        return basis
-    # ZZ: column Hermite via row Hermite of the transpose.
-    cols_t = [[M.entries[i][j] for i in range(M.rows)] for j in range(M.cols)]
-    H, pivots, U = row_hermite(cols_t, transform=True)
-    rank = len(pivots)
-    raw = [U[i] for i in range(rank, M.cols)]
-    if not raw:
-        return []
-    canon, _ = row_hermite(raw)
-    return [row for row in canon if any(row)]
+        free = {f: {f: ring.one} for f in range(ncols) if f not in pivot_set}
+        for row, p in zip(rows, pivots):
+            for f, x in row.items():
+                if f != p:
+                    free[f][p] = ring.neg(x)
+        return echelon(ring, free.values())[0]
+    # Hermite form of [H^T | I]: its rows that vanish on the H^T part are
+    # the Hermite basis of {u : u H^T = 0}, shifted right by rank(H).
+    r = len(rows)
+    augmented = [{r + j: 1} for j in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            augmented[j][i] = x
+    kernel, kpivots = echelon(ring, augmented)
+    return [{c - r: x for c, x in row.items()} for row, p in zip(kernel, kpivots) if p >= r]
 
 
-def membership(M, b):
-    """Solve M x = b over the ring, or return None if unsolvable.
+def elementary_divisors(rows, length):
+    """Smith divisor chain d1 | d2 | ... of the lattice spanned by the
+    Hermite rows ``rows`` (``echelon`` over ZZ), padded with zeros to
+    ``length``.
 
-    Over ZZ solvability is integral (via the Hermite form); over a field it
-    is ordinary linear solvability.
+    A row with pivot 1 is alone in its column, so it splits off a divisor
+    1.  The rest are diagonalised by alternating Hermite forms of the
+    matrix and its transpose, and the diagonal is put into divisor order
+    by gcd/lcm exchanges.
     """
-    if len(b) != M.rows:
-        raise ValueError(f"dimension mismatch: {M.rows} rows, vector of length {len(b)}")
-    ring = M.ring
-    if M.cols == 0:
-        return [] if all(x == ring.zero for x in b) else None
-    if ring.is_field:
-        return _field_solve(ring, M, b)
-    cols_t = [[M.entries[i][j] for i in range(M.rows)] for j in range(M.cols)]
-    H, pivots, U = row_hermite(cols_t, transform=True)
-    # M * U^T = H^T, so solve H^T y = b by forward substitution on pivot rows.
-    y = [0] * M.cols
-    for j, prow in enumerate(pivots):
-        acc = b[prow] - sum(H[jj][prow] * y[jj] for jj in range(j))
-        d = H[j][prow]
-        if acc % d != 0:
-            return None
-        y[j] = acc // d
-    # Verify the remaining coordinates.
-    for i in range(M.rows):
-        if sum(H[j][i] * y[j] for j in range(len(pivots))) != b[i]:
-            return None
-    return [sum(U[j][c] * y[j] for j in range(len(pivots))) for c in range(M.cols)]
-
-
-def smith_form(M):
-    """Smith normal form of an integer matrix: (U, D, V) with U*M*V = D,
-    U and V unimodular, and the diagonal divisor chain d1 | d2 | ...
-    """
-    if M.ring != ZZ:
-        raise ValueError("smith_form requires integer entries")
-    D = [list(row) for row in M.entries]
-    m, n = M.rows, M.cols
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = [D[i][c] - q * D[j][c] for c in range(n)]
-        U[i] = [U[i][c] - q * U[j][c] for c in range(m)]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            D[r][i] -= q * D[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    while t < min(m, n):
-        # Locate a pivot of minimal absolute value in the trailing block.
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    row_op(i, t, D[i][t] // D[t][t])
-            bad = next((i for i in range(t + 1, m) if D[i][t]), None)
-            if bad is not None:
-                swap_rows(t, bad)
-                continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    col_op(j, t, D[t][j] // D[t][t])
-            bad = next((j for j in range(t + 1, n) if D[t][j]), None)
-            if bad is not None:
-                swap_cols(t, bad)
-                continue
-            # Enforce divisibility of the trailing block by the pivot.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # add offending row into the pivot row
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return Matrix(ZZ, U), Matrix(ZZ, D, cols=n), Matrix(ZZ, V)
-
-
-def elementary_divisors(M):
-    """Diagonal of the Smith form, in divisor-chain order."""
-    _, D, _ = smith_form(M)
-    return [D.entries[i][i] for i in range(min(M.rows, M.cols))]
-
-
-def det(M):
-    """Determinant, exact.  Uses Bareiss for ZZ, elimination for fields."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return M.ring.one
-    ring = M.ring
-    if ring == ZZ:
-        a = [list(row) for row in M.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-    a = [list(row) for row in M.entries]
-    result = ring.one
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != ring.zero), None)
-        if pivot is None:
-            return ring.zero
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            result = ring.neg(result)
-        result = ring.mul(result, a[k][k])
-        inv = ring.invert(a[k][k])
-        for i in range(k + 1, n):
-            f = ring.mul(a[i][k], inv)
-            if f != ring.zero:
-                a[i] = [ring.sub(a[i][j], ring.mul(f, a[k][j])) for j in range(n)]
-    return result
-
-
-def rank(M):
-    ring = M.ring
-    if ring.is_field:
-        _, pivots = rref(ring, M.entries)
-    else:
-        _, pivots = row_hermite(M.entries)
-    return len(pivots)
+    rest = [row for row in rows if row[min(row)] != 1]
+    while any(len(row) > 1 for row in rest):
+        transposed = {}
+        for i, row in enumerate(rest):
+            for c, x in row.items():
+                transposed.setdefault(c, {})[i] = x
+        rest, _ = echelon(ZZ, transposed.values())
+    diag = [x for row in rest for x in row.values()]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return [1] * (len(rows) - len(rest)) + diag + [0] * (length - len(rows))

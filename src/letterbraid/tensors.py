@@ -250,10 +250,6 @@ class BraidPolynomial:
     def zero(cls, ring):
         return cls(ring)
 
-    @classmethod
-    def constant(cls, ring, c):
-        return cls(ring, [c])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -1

@@ -110,11 +110,6 @@ class Word:
     def __repr__(self):
         return f"Word({format_word(self)!r})"
 
-    @property
-    def is_reduced(self):
-        return all(not (a.gen == b.gen and a.sign == -b.sign)
-                   for a, b in zip(self.letters, self.letters[1:]))
-
 
 def _check_same_alphabet(u, v):
     if u.alphabet != v.alphabet:

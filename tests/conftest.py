@@ -7,6 +7,7 @@ import pytest
 
 import letterbraid as lb
 from letterbraid.presented import Presentation, parse_presentation
+from letterbraid.rings import echelon, reduce
 from letterbraid.words import Word
 
 
@@ -41,6 +42,22 @@ def all_words(alphabet, max_len):
 def all_keys(n_gens, max_weight, min_weight=1):
     for r in range(min_weight, max_weight + 1):
         yield from itertools.product(range(n_gens), repeat=r)
+
+
+def sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def span_rank(ring, vectors):
+    """Rank of the span of dense vectors."""
+    return len(echelon(ring, [sparse(v) for v in vectors])[1])
+
+
+def in_span(ring, vectors, target):
+    """Whether the dense target lies in the span of the dense vectors (over
+    ZZ: in their integer lattice)."""
+    rows, pivots = echelon(ring, [sparse(v) for v in vectors])
+    return reduce(ring, rows, pivots, sparse(target))[0] == {}
 
 
 def nested_commutator(alphabet, gens):

@@ -23,12 +23,12 @@ from letterbraid.magnus import (FreeGroupRingElement, augment, fox_derivative,
 from letterbraid.presented import (build_truncated_quotient, dimension_depth,
                                    invariants_basis, is_invariant, pair,
                                    parse_presentation)
-from letterbraid.rings import ZZ, Matrix, PrimeField, rank
+from letterbraid.rings import ZZ, PrimeField
 from letterbraid.tensors import (TensorElement, dual_functional, parse_tensor)
 from letterbraid.words import Word, parse_word
 
 from conftest import (XY, all_keys, cyclic_presentation, free_presentation,
-                      nested_commutator, random_tensor, random_word)
+                      nested_commutator, random_tensor, random_word, span_rank)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -343,5 +343,5 @@ def test_criterion_10_completeness(heisenberg_presentation):
                     matrix = [[pair(Q, T, combo) for combo in combos]
                               for T in basis.elements]
                     if basis.elements:
-                        M = Matrix(ring, matrix, cols=len(combos))
-                        assert rank(M) == len(basis.elements), (P, ring, N)
+                        assert span_rank(ring, matrix) == len(basis.elements), \
+                            (P, ring, N)

@@ -9,7 +9,9 @@ import letterbraid as lb
 from letterbraid.cli import main
 from letterbraid.finite import heisenberg_table
 from letterbraid.tensors import parse_tensor, tensor_from_json
-from letterbraid.rings import Matrix, PrimeField, membership
+from letterbraid.rings import PrimeField
+
+from conftest import in_span
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "letterbraid" / "schemas"
 
@@ -61,10 +63,10 @@ def test_invariants_heisenberg(capsys, tmp_path):
     ab = lb.Alphabet(["x", "y", "z"])
     elements = [tensor_from_json(e, ab, F2) for e in doc["elements"]]
     keys = sorted({k for e in elements for k in e.terms} | {(0, 1), (2,)})
-    cols = [[e.coefficient(k) for e in elements] for k in keys]
+    vectors = [[e.coefficient(k) for k in keys] for e in elements]
     target_tensor = parse_tensor("x|y + z", ab, F2)
     target = [target_tensor.coefficient(k) for k in keys]
-    assert membership(Matrix(F2, cols, cols=len(elements)), target) is not None
+    assert in_span(F2, vectors, target)
 
 
 def test_invariants_latex_table(capsys, tmp_path):
@@ -167,6 +169,50 @@ def test_oracle_command(capsys, tmp_path):
     check_schema("oracle", doc)
     assert doc["dims"] == [1, 3, 5]
     assert doc["word_image"] == heisenberg_table(2).gens["z"]
+
+
+@pytest.mark.parametrize("missing", ["size", "mul", "gens"])
+def test_oracle_rejects_a_table_without_a_key(capsys, tmp_path, missing):
+    doc = heisenberg_table(2).to_json()
+    del doc[missing]
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "oracle", "--table", str(table),
+                         "--ring", "fp:2", "--order", "2")
+    assert (code, out) == (1, "")
+    assert repr(missing) in err
+
+
+def test_oracle_rejects_malformed_tables(capsys, tmp_path):
+    bad = [[1, 2], {"size": "2", "mul": [[0, 1], [1, 0]], "gens": {"x": 1}},
+           {"size": 2, "mul": [[0, 1], [1, "0"]], "gens": {"x": 1}},
+           {"size": 2, "mul": [[0, 1], [1, 0]], "gens": ["x"]},
+           {"size": 2, "mul": [[0, 1], [1, 0]], "gens": {"x": True}}]
+    table = tmp_path / "bad.json"
+    for doc in bad:
+        table.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "oracle", "--table", str(table),
+                             "--ring", "fp:2", "--order", "2")
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("lb: table"), doc
+
+
+def test_johnson_domain_failures_exit_one(capsys, tmp_path):
+    # x -> x, y -> x y x^-1 has level 1, so stage 2 is out of reach.
+    code, out, err = run(capsys, "johnson", "--gens", "x y",
+                         "--endo", "x -> x, y -> x y x^-1", "--ring", "z",
+                         "--order", "4", "--weight", "2")
+    assert (code, out) == (1, "")
+    assert "< stage 2" in err
+    # z -> z [x,y] breaks a relator, so tau is not defined.
+    pres = tmp_path / "heis.pres"
+    pres.write_text(HEIS)
+    with pytest.warns(UserWarning, match="relator"):
+        code, out, err = run(capsys, "johnson", "--presentation", str(pres),
+                             "--endo", "x -> x, y -> y, z -> z [x,y]",
+                             "--ring", "fp:2", "--weight", "1")
+    assert (code, out) == (1, "")
+    assert "weight-1 invariants" in err
 
 
 def test_parse_errors_exit_two(capsys):

@@ -6,10 +6,10 @@ from letterbraid.finite import (FiniteGroupTable, cyclic_table,
                                 ideal_power_dims, word_image)
 from letterbraid.presented import (build_truncated_quotient, invariants_basis,
                                    pair, parse_presentation)
-from letterbraid.rings import ZZ, Matrix, PrimeField, rank
+from letterbraid.rings import ZZ, PrimeField
 from letterbraid.words import Alphabet, Word, parse_word
 
-from conftest import cyclic_presentation
+from conftest import cyclic_presentation, span_rank
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -109,20 +109,15 @@ def test_pairing_agrees_with_the_group_algebra_on_heisenberg():
         matrix = [[pair(Q, T, w) for w in words] for T in basis.elements]
         # invariants kill the oracle's I^N inside the group algebra ...
         n = table.size
-        aug = []
-        for g in range(n):
-            if g == table.identity:
-                continue
-            v = [F2.zero] * n
-            v[g], v[table.identity] = F2.one, F2.neg(F2.one)
-            aug.append(v)
+        aug = [{g: F2.one, table.identity: F2.neg(F2.one)}
+               for g in range(n) if g != table.identity]
         power = aug
         for _ in range(N - 1):
             from letterbraid.finite import _convolve
             power = [_convolve(F2, table, v, w) for v in power for w in aug]
         for v in power:
             for row in matrix:
-                assert sum(row[g] * v[g] for g in range(n)) % 2 == 0
+                assert sum(row[g] * x for g, x in v.items()) % 2 == 0
         # ... and induce a perfect pairing with A[G]/I^N.
-        M = Matrix(F2, matrix, cols=n)
-        assert rank(M) == len(basis.elements) == ideal_power_dims(table, F2, N)[N - 1]
+        assert span_rank(F2, matrix) == len(basis.elements) \
+            == ideal_power_dims(table, F2, N)[N - 1]

@@ -10,12 +10,12 @@ from letterbraid.presented import (GroupHom, Presentation,
                                    invariants_basis, is_invariant,
                                    monomials_below, pair, parse_presentation,
                                    pullback)
-from letterbraid.rings import ZZ, Matrix, PrimeField, membership
+from letterbraid.rings import ZZ, PrimeField
 from letterbraid.tensors import (TensorElement, parse_tensor,
                                  reduced_coproduct)
 from letterbraid.words import Alphabet, Word, parse_word
 
-from conftest import (XY, cyclic_presentation, free_presentation,
+from conftest import (XY, cyclic_presentation, free_presentation, in_span,
                       nested_commutator, random_word)
 
 F2 = PrimeField(2)
@@ -109,12 +109,10 @@ def test_heisenberg_invariants(heisenberg_presentation):
     basis = invariants_basis(P, 3, F2)
     assert len(basis) == 5
     assert basis.weights == [0, 1, 1, 2, 2]
-    span = Matrix(F2, [[v[i] for v in basis.vectors]
-                       for i in range(len(basis.monomials))], cols=len(basis.vectors))
     xy_plus_z = build_truncated_quotient(P, 3, F2).tensor_vector(tensor("x|y + z", P, F2))
-    assert membership(span, xy_plus_z) is not None
+    assert in_span(F2, basis.vectors, xy_plus_z)
     z_alone = build_truncated_quotient(P, 3, F2).tensor_vector(tensor("z", P, F2))
-    assert membership(span, z_alone) is None
+    assert not in_span(F2, basis.vectors, z_alone)
 
 
 def test_free_group_invariants_are_all_monomials():
@@ -323,13 +321,11 @@ def test_coalgebra_closure(heisenberg_presentation, pb3_presentation):
                             continue
                         col[pair_index[(a, b)]] = ring.mul(va[i], vb[j])
                 cols.append(col)
-        M = Matrix(ring, [[c[r] for c in cols] for r in range(len(pair_index))],
-                   cols=len(cols))
         for T in basis.elements:
             target = [ring.zero] * len(pair_index)
             for (a, b), c in reduced_coproduct(T).items():
                 target[pair_index[(a, b)]] = c
-            assert membership(M, target) is not None
+            assert in_span(ring, cols, target)
 
 
 def test_pairing_is_representative_independent(heisenberg_presentation,
@@ -417,3 +413,63 @@ def test_presentation_round_trip(heisenberg_presentation, surface_presentation,
     for P in (heisenberg_presentation, surface_presentation, pb3_presentation,
               free_presentation("x", "y")):
         assert parse_presentation(format_presentation(P)) == P
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for the quotient's answers
+
+def dense(Q, col):
+    return [col.get(i, Q.ring.zero) for i in range(len(Q.monomials))]
+
+
+def test_torsion_divisors_match_sympy(heisenberg_presentation):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    cases = [(cyclic_presentation(2), 2), (cyclic_presentation(2), 3),
+             (heisenberg_presentation, 3), (heisenberg_presentation, 4)]
+    for P, N in cases:
+        Q = build_truncated_quotient(P, N, ZZ)
+        M = sympy.Matrix([dense(Q, col) for col in Q.columns])
+        expected = [int(d) for d in invariant_factors(M, domain=sympy.ZZ)]
+        assert Q.elementary_divisors == expected, (P, N)
+        assert invariants_basis(P, N, ZZ).elementary_divisors == expected
+        assert Q.torsion_divisors == tuple(d for d in expected if d not in (0, 1))
+    assert build_truncated_quotient(heisenberg_presentation, 4, ZZ).torsion_divisors
+
+
+def test_filtration_valuation_matches_a_rank_oracle(heisenberg_presentation):
+    # The valuation is the largest k such that adding vec to the relator
+    # span plus the monomials of degree >= k does not raise the rank.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def rank(ring, rows):
+        domain = sympy.GF(ring.p) if ring.p else sympy.QQ
+        rows = [[domain(int(x) if ring.p else x) for x in row] for row in rows]
+        return DomainMatrix(rows, (len(rows), len(rows[0])), domain).rank() if rows else 0
+
+    rng = random.Random(53)
+    z6z4 = parse_presentation("gens: x y\nrel: x^6\nrel: y^4\nrel: [x,y]\n")
+    cases = [(heisenberg_presentation, F2, 4), (cyclic_presentation(9), F3, 4),
+             (z6z4, lb.QQ, 4), (z6z4, F2, 4), (z6z4, F3, 4),
+             (parse_presentation("gens: a b\nrel: b a b^-1 a^-2\n"), lb.QQ, 4)]
+    for P, ring, N in cases:
+        Q = build_truncated_quotient(P, N, ring)
+        n = len(Q.monomials)
+        span = [dense(Q, col) for col in Q.columns]
+        for trial in range(12):
+            low = trial % N
+            vec = [ring.from_int(rng.randint(-2, 2))
+                   if len(m) >= low and rng.random() < 0.4 else ring.zero
+                   for m in Q.monomials]
+            if span and trial % 2:
+                col = span[rng.randrange(len(span))]
+                vec = [ring.add(a, b) for a, b in zip(vec, col)]
+            expected = 0
+            for k in range(N, -1, -1):
+                rows = span + [[ring.one if j == i else ring.zero for j in range(n)]
+                               for i, m in enumerate(Q.monomials) if len(m) >= k]
+                if rank(ring, rows + [vec]) == rank(ring, rows):
+                    expected = k
+                    break
+            assert Q.filtration_valuation(vec) == expected, (P, ring, vec)

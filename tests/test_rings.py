@@ -1,11 +1,32 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from letterbraid.rings import (QQ, ZZ, Matrix, PrimeField, det, kernel_basis,
-                               mat_mul, membership, rank, ring_from_flag,
-                               smith_form)
+from letterbraid.rings import (QQ, ZZ, PrimeField, annihilator, echelon,
+                               elementary_divisors, reduce, ring_from_flag)
+
+from conftest import sparse
+
+
+def sparse_rows(ring, dense_rows):
+    return [sparse([ring.normalize(x) for x in row]) for row in dense_rows]
+
+
+def kernel(ring, dense_rows, ncols):
+    rows, pivots = echelon(ring, sparse_rows(ring, dense_rows))
+    return annihilator(ring, rows, pivots, ncols)
+
+
+def divisors(dense_rows):
+    rows, _ = echelon(ZZ, sparse_rows(ZZ, dense_rows))
+    ncols = len(dense_rows[0]) if dense_rows else 0
+    return elementary_divisors(rows, min(len(dense_rows), ncols))
+
+
+def dot(u, v):
+    return sum(x * v.get(j, 0) for j, x in u.items())
 
 
 def test_prime_field_rejects_composites():
@@ -34,57 +55,70 @@ def test_rational_canonical_form():
 
 
 def test_kernel_of_invertible_matrix_is_empty():
-    M = Matrix(QQ, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
-    assert kernel_basis(M) == []
+    assert kernel(QQ, [[1, 0], [0, 1]], 2) == []
 
 
 def test_integer_kernel_is_saturated_on_rank_one_example():
-    M = Matrix(ZZ, [[2, -2]])
-    assert kernel_basis(M) == [[1, 1]]
+    assert kernel(ZZ, [[2, -2]], 2) == [{0: 1, 1: 1}]
 
 
 def test_kernel_of_zero_map_is_standard_basis():
-    F3 = PrimeField(3)
-    M = Matrix(F3, [[0, 0, 0]])
-    assert kernel_basis(M) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel(PrimeField(3), [[0, 0, 0]], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_smith_form_examples():
-    _, D, _ = smith_form(Matrix(ZZ, [[2, 0], [0, 3]]))
-    assert [D.entries[i][i] for i in range(2)] == [1, 6]
-    _, D, _ = smith_form(Matrix(ZZ, [[1, 0], [0, 1]]))
-    assert [D.entries[i][i] for i in range(2)] == [1, 1]
-    _, D, _ = smith_form(Matrix(ZZ, [[0]]))
-    assert D.entries[0][0] == 0
+    assert divisors([[2, 0], [0, 3]]) == [1, 6]
+    assert divisors([[1, 0], [0, 1]]) == [1, 1]
+    assert divisors([[0]]) == [0]
+    assert divisors([[2, 4], [4, 8], [0, 0]]) == [2, 0]
+
+
+def test_echelon_forms_are_canonical():
+    assert echelon(QQ, [{0: 2, 1: 4}, {0: 1, 1: 3}]) == ([{0: 1}, {1: 1}], [0, 1])
+    assert echelon(ZZ, [{0: 4, 1: 1}, {0: 6}]) == ([{0: 2, 1: 2}, {1: 3}], [0, 1])
+    assert echelon(PrimeField(2), [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]) \
+        == ([{0: 1, 2: 1}, {1: 1, 2: 1}], [0, 1])
 
 
 def test_membership_examples():
-    assert membership(Matrix(ZZ, [[2]]), [4]) == [2]
-    assert membership(Matrix(ZZ, [[2]]), [3]) is None
-    x = membership(Matrix(QQ, [[Fraction(2)]]), [Fraction(3)])
-    assert x == [Fraction(3, 2)]
-    with pytest.raises(ValueError):
-        membership(Matrix(ZZ, [[1, 2]]), [1, 2])
+    rows, pivots = echelon(ZZ, [{0: 2}])
+    assert reduce(ZZ, rows, pivots, {0: 4}) == ({}, [2])
+    assert reduce(ZZ, rows, pivots, {0: 3}) == ({0: 1}, [1])
+    rows, pivots = echelon(QQ, [{0: Fraction(2)}])
+    assert reduce(QQ, rows, pivots, {0: Fraction(3)}) == ({}, [Fraction(3)])
+    # the remainder of a vector outside the span keeps its free part
+    rows, pivots = echelon(ZZ, [{0: 1, 1: 2}])
+    assert reduce(ZZ, rows, pivots, {0: 1, 1: 2, 2: 5}) == ({2: 5}, [1])
 
 
 def test_smith_form_random_matrices_exact():
+    # The divisor chain is a chain, has one nonzero entry per unit of rank,
+    # and depends only on the matrix up to transposition and unimodular
+    # row and column operations.
     rng = random.Random(1)
     for _ in range(60):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
-        M = Matrix(ZZ, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-        U, D, V = smith_form(M)
-        assert mat_mul(mat_mul(U, M), V).entries == D.entries
-        assert det(U) in (1, -1)
-        assert det(V) in (1, -1)
-        divisors = [D.entries[i][i] for i in range(min(m, n))]
-        for a, b in zip(divisors, divisors[1:]):
-            assert a >= 0 and (a == 0 and b == 0 or b % max(a, 1) == 0 or a == 0)
-        # off-diagonal must vanish
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D.entries[i][j] == 0
+        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        d = divisors(M)
+        assert len(d) == min(m, n)
+        nonzero = [x for x in d if x]
+        assert d == nonzero + [0] * (len(d) - len(nonzero))
+        assert len(nonzero) == len(echelon(QQ, sparse_rows(QQ, M))[1])
+        for a, b in zip(nonzero, nonzero[1:]):
+            assert a > 0 and b % a == 0
+        assert divisors([list(col) for col in zip(*M)]) == d
+        i, j = rng.randrange(m), rng.randrange(n)
+        q = rng.randint(-3, 3)
+        moved = [row[:] for row in M]
+        if m > 1:
+            k = (i + 1) % m
+            moved[i] = [x + q * y for x, y in zip(moved[i], moved[k])]
+        if n > 1:
+            k = (j + 1) % n
+            for row in moved:
+                row[j] += q * row[k]
+        assert divisors(moved) == d
 
 
 def test_integer_kernel_saturation_random():
@@ -95,25 +129,26 @@ def test_integer_kernel_saturation_random():
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        M = Matrix(ZZ, rows)
-        basis = kernel_basis(M)
+        basis = kernel(ZZ, rows, n)
         for v in basis:
-            assert all(x == 0 for x in M.mul_vec(v))
-        Mq = Matrix(QQ, [[Fraction(x) for x in row] for row in rows])
-        qbasis = kernel_basis(Mq)
+            for row in sparse_rows(ZZ, rows):
+                assert dot(v, row) == 0
+        qbasis = kernel(QQ, rows, n)
         if not qbasis:
             assert basis == []
             continue
-        combo = [QQ.zero] * n
+        combo = {}
         for vec in qbasis:
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            combo = [combo[j] + c * vec[j] for j in range(n)]
+            for j, x in vec.items():
+                combo[j] = combo.get(j, 0) + c * x
         denom = 1
-        for x in combo:
-            denom = denom * x.denominator // __import__("math").gcd(denom, x.denominator)
-        target = [int(x * denom) for x in combo]
-        lattice = Matrix(ZZ, [[b[i] for b in basis] for i in range(n)], cols=len(basis))
-        assert membership(lattice, target) is not None
+        for x in combo.values():
+            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+        target = {j: int(x * denom) for j, x in combo.items()}
+        pivots = [min(v) for v in basis]
+        remainder, _ = reduce(ZZ, basis, pivots, target)
+        assert remainder == {}
 
 
 def test_field_axioms_random_triples():
@@ -140,10 +175,54 @@ def test_scalar_wrapper():
 
 def test_rank_and_kernel_dimensions_agree():
     rng = random.Random(4)
-    for ring in (QQ, PrimeField(3)):
+    for ring in (QQ, PrimeField(3), ZZ):
         for _ in range(50):
             m = rng.randint(1, 5)
             n = rng.randint(1, 5)
-            M = Matrix(ring, [[ring.from_int(rng.randint(-4, 4)) for _ in range(n)]
-                              for _ in range(m)])
-            assert rank(M) + len(kernel_basis(M)) == n
+            M = [[ring.from_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
+            rows, pivots = echelon(ring, sparse_rows(ring, M))
+            assert len(pivots) + len(annihilator(ring, rows, pivots, n)) == n
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for the sparse kernel
+
+def random_sparse_matrix(rng, ring, density=0.25):
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
+    return [[ring.from_int(rng.randint(-6, 6)) if rng.random() < density else ring.zero
+             for _ in range(n)] for _ in range(m)]
+
+
+def sympy_rank(ring, dense_rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    if ring.is_field and ring.p is not None:
+        domain = sympy.GF(ring.p)
+    else:
+        domain = sympy.QQ
+    shape = (len(dense_rows), len(dense_rows[0]))
+    return DomainMatrix([[domain(int(x) if ring.p else x) for x in row]
+                         for row in dense_rows], shape, domain).rank()
+
+
+def sympy_divisors(dense_rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    return [int(d) for d in invariant_factors(sympy.Matrix(dense_rows), domain=sympy.ZZ)]
+
+
+def test_echelon_rank_matches_sympy():
+    rng = random.Random(11)
+    for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
+        for density in (0.1, 0.25, 0.6):
+            for _ in range(25):
+                M = random_sparse_matrix(rng, ring, density)
+                assert len(echelon(ring, sparse_rows(ring, M))[1]) == sympy_rank(ring, M), (ring, M)
+
+
+def test_divisors_match_sympy_invariant_factors():
+    rng = random.Random(12)
+    for density in (0.1, 0.25, 0.6):
+        for _ in range(40):
+            M = random_sparse_matrix(rng, ZZ, density)
+            assert divisors(M) == sympy_divisors(M), M

@@ -70,9 +70,6 @@ def test_hand_built_values_are_normalized():
     from letterbraid.magnus import TruncSeries
     s = TruncSeries(F5, XY, 3, {(0,): -3})
     assert s.terms == {(0,): 2}
-    from letterbraid.rings import Matrix, rref
-    M = Matrix(F5, [[-1, 6]])
-    assert M.entries == [[4, 1]]
 
 
 def test_weight_and_counit():
