@@ -2,8 +2,9 @@
 groups, with exact coefficients in Z, Q or F_p.
 
 The free-group engine lives in ``braiding`` (circle model, weight
-reduction, iterated sums); ``magnus`` holds the independent oracles
-(truncated Magnus expansion, Fox calculus); ``presented`` computes
+reduction, iterated sums); ``magnus`` holds the truncated Magnus expansion,
+which ``presented`` and ``johnson`` evaluate words through, and the Fox
+calculus kept as an independent oracle; ``presented`` computes
 truncated group rings, invariant bases, dimension-series depth and
 pullbacks; ``johnson`` the filtration level and dual Johnson matrix;
 ``finite`` a brute-force group-algebra oracle for finite fixtures.

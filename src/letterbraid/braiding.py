@@ -44,7 +44,7 @@ from .tensors import (BraidPolynomial, Functional,
 from .words import Word, concat
 
 # When true, braiding_polynomial recomputes itself through the iterated-sum
-# reconstruction identity and asserts agreement.
+# reconstruction identity and raises AssertionError on disagreement.
 CROSS_CHECK = __debug__
 
 
@@ -284,7 +284,7 @@ def braiding_polynomial(T, w):
         L_T(w) = eta(T) + sum_k (ell(w)^{x k+1} applied to the k-fold
                  reduced coproduct of T) * t^{k+1}
 
-    and the two answers are asserted equal.
+    and an AssertionError is raised if the two answers differ.
     """
     if T.alphabet != w.alphabet:
         raise ValueError("alphabet mismatch")
@@ -294,14 +294,17 @@ def braiding_polynomial(T, w):
     for key, c in T.terms.items():
         factors = tuple(pullback_to_circle(a, w, ring) for a in T.functionals(key))
         poly = poly.add(weight_reduce(factors, circle, ring).scale(c))
-    if CROSS_CHECK:
-        assert poly == _polynomial_by_reconstruction(T, w), \
-            "weight reduction disagrees with the coproduct reconstruction"
+    # Not an assert: a check switched on must also run under python -O.
+    if CROSS_CHECK and poly != _polynomial_by_reconstruction(T, w):
+        raise AssertionError(
+            "weight reduction disagrees with the coproduct reconstruction")
     return poly
 
 
 def _polynomial_by_reconstruction(T, w):
     ring = T.ring
+    # Blocks (sub-keys of T's terms) repeat across splits: one sum per block.
+    sums = {}
     coeffs = {0: T.counit}
     for k in range(T.weight):
         total = ring.zero
@@ -310,7 +313,10 @@ def _polynomial_by_reconstruction(T, w):
             for key in keys:
                 if prod == ring.zero:
                     break
-                prod = ring.mul(prod, iterated_sum(T.functionals(key), w, ring))
+                val = sums.get(key)
+                if val is None:
+                    val = sums[key] = iterated_sum(T.functionals(key), w, ring)
+                prod = ring.mul(prod, val)
             total = ring.add(total, prod)
         coeffs[k + 1] = total
     degree = max(coeffs)

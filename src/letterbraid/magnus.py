@@ -1,8 +1,10 @@
 """Truncated noncommutative power series, the Magnus expansion, the free
 group ring, and Fox derivatives.
 
-These are deliberately separate routes to the same numbers as the circle
-model in ``braiding``; the test suite plays them against each other.
+``presented`` and ``johnson`` read every word through the Magnus
+expansion.  On free groups it and the Fox derivatives are also separate
+routes to the same numbers as the circle model in ``braiding``; the test
+suite plays them against each other.
 
 Order convention for iterated Fox derivatives: the value attached to a key
 (i1, ..., ik) applies the derivative for ik first (innermost) and i1 last,
@@ -114,28 +116,37 @@ def trunc_mul(a, b):
     return TruncSeries(ring, a.alphabet, order, out)
 
 
-def magnus_letter(ring, alphabet, order, gen, sign):
-    """Series of a single letter: x -> 1 + X, x^-1 -> sum (-1)^j X^j."""
-    if sign == 1:
-        return TruncSeries(ring, alphabet, order, {(): ring.one, (gen,): ring.one})
-    terms = {}
-    c = ring.one
-    for j in range(order):
-        terms[(gen,) * j] = c
-        c = ring.neg(c)
-    return TruncSeries(ring, alphabet, order, terms)
-
-
 def magnus_expand(w, order, ring):
     """Magnus expansion of a word, truncated below the given order.
 
-    Multiplicative by construction; invariant under free reduction because
-    the letter series of x and x^-1 multiply to 1 exactly at any truncation.
+    Updates one accumulator in place, one dict per key length, at O(#terms)
+    per letter.  For x it multiplies by 1 + X: level L adds into level L+1
+    under k + (x,), longest level first.  For x^-1 it solves a'(1 + X) = a:
+    level L, already final, is subtracted from level L+1, shortest first.
+    The two updates are exact inverses, so the result is invariant under
+    free reduction.
     """
-    acc = TruncSeries.one(ring, w.alphabet, order)
-    for let in w.letters:
-        acc = trunc_mul(acc, magnus_letter(ring, w.alphabet, order, let.gen, let.sign))
-    return acc
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    zero = ring.zero
+    levels = [{(): ring.one}] + [{} for _ in range(order - 1)]
+    for gen, sign in w.letters:
+        if sign == 1:
+            combine, steps = ring.add, range(order - 2, -1, -1)
+        else:
+            combine, steps = ring.sub, range(order - 1)
+        suffix = (gen,)
+        for L in steps:
+            upper = levels[L + 1]
+            for key, val in levels[L].items():
+                key += suffix
+                s = combine(upper.get(key, zero), val)
+                if s == zero:
+                    del upper[key]
+                else:
+                    upper[key] = s
+    terms = {key: val for level in levels for key, val in level.items()}
+    return TruncSeries(ring, w.alphabet, order, terms)
 
 
 def series_to_json(s):

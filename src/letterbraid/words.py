@@ -14,6 +14,10 @@ from typing import NamedTuple
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# Most letters a parsed word may have; checked before a power or commutator
+# is expanded, so ((x^1000)^1000)^1000 is refused, not given 10^9 letters.
+MAX_WORD_LETTERS = 10 ** 6
+
 
 class ParseError(ValueError):
     """Syntax error with a character position, for CLI diagnostics."""
@@ -220,11 +224,18 @@ def parse_word(text, alphabet):
         where = tokens[at][2] if at is not None and at < len(tokens) else len(text)
         raise ParseError(msg, where)
 
+    def check_budget(count, where):
+        if count > MAX_WORD_LETTERS:
+            raise ParseError(f"word needs {count} letters, above the budget "
+                             f"of {MAX_WORD_LETTERS}", where)
+
     def parse_product(stop):
         nonlocal pos
         letters = []
         while pos < len(tokens) and tokens[pos][0] not in stop:
+            start = tokens[pos][2]
             letters.extend(parse_item())
+            check_budget(len(letters), start)
         return letters
 
     def parse_item():
@@ -251,6 +262,7 @@ def parse_word(text, alphabet):
             if pos >= len(tokens) or tokens[pos][0] != "]":
                 error("unbalanced bracket", pos)
             pos += 1
+            check_budget(2 * (len(left) + len(right)), tpos)
             inv = lambda ls: [Letter(g, -s) for g, s in reversed(ls)]
             base = left + right + inv(left) + inv(right)
         elif kind == "pow":
@@ -259,6 +271,7 @@ def parse_word(text, alphabet):
             raise ParseError(f"unexpected {kind!r}", tpos)
         if pos < len(tokens) and tokens[pos][0] == "pow":
             k = tokens[pos][1]
+            check_budget(len(base) * abs(k), tokens[pos][2])
             pos += 1
             if k >= 0:
                 base = base * k

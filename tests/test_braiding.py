@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import letterbraid as lb
+from letterbraid import braiding
 from letterbraid.braiding import (CircleWord, apply_differential,
                                   braiding_number, braiding_polynomial,
                                   circle_integral, cobound, iterated_sum,
@@ -10,7 +15,7 @@ from letterbraid.braiding import (CircleWord, apply_differential,
                                   pullback_to_circle, weight_reduce)
 from letterbraid.magnus import iterated_fox, magnus_expand
 from letterbraid.rings import QQ, ZZ, PrimeField
-from letterbraid.tensors import (dual_functional,
+from letterbraid.tensors import (BraidPolynomial, TensorElement, dual_functional,
                                  iterated_reduced_coproduct, parse_tensor)
 from letterbraid.words import Word, parse_word
 
@@ -305,3 +310,101 @@ def test_empty_word_evaluates_to_the_counit():
     w = Word.identity(XY)
     assert braiding_polynomial(elem, w).coeffs == (3,)
     assert braiding_number(elem, w) == 0
+
+
+def _merge(u, v, infiltrate):
+    """Shuffle or infiltration product of two keys, as {key: multiplicity}:
+    ua * vb = (u * vb) a + (ua * v) b, plus (u * v) a when a == b for the
+    infiltration product."""
+    if not u or not v:
+        return {u + v: 1}
+    out = {}
+    parts = [(_merge(u[:-1], v, infiltrate), u[-1]),
+             (_merge(u, v[:-1], infiltrate), v[-1])]
+    if infiltrate and u[-1] == v[-1]:
+        parts.append((_merge(u[:-1], v[:-1], infiltrate), u[-1]))
+    for merged, last in parts:
+        for key, m in merged.items():
+            out[key + (last,)] = out.get(key + (last,), 0) + m
+    return out
+
+
+def _product_law_cases(seed, count):
+    rng = random.Random(seed)
+    for ring in (ZZ, PrimeField(3)):
+        for _ in range(count):
+            u = tuple(rng.randrange(2) for _ in range(rng.randint(1, 3)))
+            v = tuple(rng.randrange(2) for _ in range(rng.randint(1, 3)))
+            yield ring, u, v, random_word(rng, XY, 14)
+
+
+def _law_sides(ring, u, v, w, infiltrate):
+    """ell_u(w) ell_v(w) and ell_{u * v}(w), by braiding numbers and by
+    Magnus coefficients."""
+    merged = {k: ring.from_int(m) for k, m in _merge(u, v, infiltrate).items()}
+    lhs = ring.mul(braiding_number(TensorElement(ring, XY, {u: ring.one}), w),
+                   braiding_number(TensorElement(ring, XY, {v: ring.one}), w))
+    rhs = braiding_number(TensorElement(ring, XY, merged), w)
+    series = magnus_expand(w, len(u) + len(v) + 1, ring)
+    m_lhs = ring.mul(series.coefficient(u), series.coefficient(v))
+    m_rhs = ring.sum(ring.mul(m, series.coefficient(k)) for k, m in merged.items())
+    return lhs, rhs, m_lhs, m_rhs
+
+
+def test_braiding_numbers_multiply_under_the_infiltration_product():
+    # Chen-Fox-Lyndon: for unit tensors u and v, ell_u(w) ell_v(w) equals
+    # ell of the infiltration product u|v, because a letter expands as 1 + X.
+    for ring, u, v, w in _product_law_cases(45, 100):
+        lhs, rhs, m_lhs, m_rhs = _law_sides(ring, u, v, w, infiltrate=True)
+        assert lhs == rhs == m_lhs == m_rhs, (ring, u, v, w)
+
+
+def test_plain_shuffle_law_fails():
+    # The shuffle law would hold for exp(X) letters; a wrong fast path that
+    # passes it is caught here.
+    failures = 0
+    for ring, u, v, w in _product_law_cases(45, 100):
+        lhs, rhs, m_lhs, m_rhs = _law_sides(ring, u, v, w, infiltrate=False)
+        assert (lhs, rhs) == (m_lhs, m_rhs)
+        failures += lhs != rhs
+    assert failures > 0
+
+
+def test_cross_check_catches_a_wrong_weight_reduction(monkeypatch):
+    T = tens("x|x|y|x + y|x")
+    good = braiding_polynomial(T, INTRO)
+    real = braiding.weight_reduce
+    bump = BraidPolynomial(ZZ, [0, 1])
+    monkeypatch.setattr(braiding, "weight_reduce", lambda *args: real(*args).add(bump))
+    monkeypatch.setattr(braiding, "CROSS_CHECK", False)
+    assert braiding_polynomial(T, INTRO) != good
+    monkeypatch.setattr(braiding, "CROSS_CHECK", True)
+    with pytest.raises(AssertionError, match="reconstruction"):
+        braiding_polynomial(T, INTRO)
+
+
+PERTURBED_UNDER_O = """
+import letterbraid as lb
+from letterbraid import braiding
+ab = lb.Alphabet(["x", "y"])
+T = lb.parse_tensor("x|y", ab, lb.ZZ)
+w = lb.parse_word("[x, y]", ab)
+real = braiding.weight_reduce
+braiding.weight_reduce = lambda *args: real(*args).scale(2)
+print(braiding.CROSS_CHECK, braiding.braiding_polynomial(T, w).coeffs)
+braiding.CROSS_CHECK = True
+braiding.braiding_polynomial(T, w)
+"""
+
+
+def test_cross_check_still_checks_under_optimize():
+    # The default follows __debug__, but a check switched on must not be
+    # an assert that python -O strips.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_UNDER_O],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.startswith("False ")
+    assert proc.returncode == 1
+    assert "AssertionError: weight reduction disagrees" in proc.stderr

@@ -109,6 +109,20 @@ def test_magnus_schema_and_values(capsys):
     assert {"key": ["y", "x"], "coeff": "-1"} in doc["terms"]
 
 
+def test_magnus_order_zero_exits_one(capsys):
+    code, out, err = run(capsys, "magnus", "--gens", "x,y", "--word", "x y",
+                         "--order", "0", "--ring", "z")
+    assert (code, out) == (1, "")
+    assert err == "lb: order must be >= 1\n"
+
+
+def test_word_above_the_letter_budget_exits_two(capsys):
+    code, out, err = run(capsys, "magnus", "--gens", "x", "--word",
+                         "((x^1000)^1000)^1000", "--order", "2", "--ring", "z")
+    assert (code, out) == (2, "")
+    assert err.startswith("lb: parse error: ") and "budget" in err
+
+
 def test_pair_command(capsys, tmp_path):
     pres = tmp_path / "ab.pres"
     pres.write_text("gens: x y\nrel: [x,y]\n")

@@ -6,7 +6,7 @@ import letterbraid as lb
 from letterbraid.magnus import (FreeGroupRingElement, TruncSeries, augment,
                                 fox_derivative, group_ring_mul, iterated_fox,
                                 magnus_expand, series_to_json, trunc_mul)
-from letterbraid.rings import ZZ, PrimeField
+from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.words import Word, parse_word
 
 from conftest import XY, all_keys, random_word
@@ -133,6 +133,46 @@ def test_magnus_of_identity_and_inverses():
         prod = trunc_mul(magnus_expand(w, order, ZZ),
                          magnus_expand(lb.inverse(w), order, ZZ))
         assert prod == TruncSeries.one(ZZ, XY, order)
+
+
+def _letter_fold(w, order, ring):
+    """The Magnus expansion as a product of letter series: x -> 1 + X,
+    x^-1 -> sum (-1)^j X^j, folded with trunc_mul."""
+    acc = TruncSeries.one(ring, w.alphabet, order)
+    for g, s in w.letters:
+        if s == 1:
+            terms = {(): ring.one, (g,): ring.one}
+        else:
+            terms = {(g,) * j: ring.from_int((-1) ** j) for j in range(order)}
+        acc = trunc_mul(acc, TruncSeries(ring, w.alphabet, order, terms))
+    return acc
+
+
+def test_magnus_expand_matches_the_letter_fold():
+    rng = random.Random(44)
+    rings = [ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
+    fixed = [Word.identity(XY), parse_word("x x^-1", XY),
+             parse_word("y^-1 x x^-1 y x^-3 x^3", XY)]
+    for ring in rings:
+        for order in range(1, 7):
+            for w in fixed:
+                assert magnus_expand(w, order, ring) == _letter_fold(w, order, ring)
+    for _ in range(300):
+        ring = rng.choice(rings)
+        order = rng.randint(1, 6)
+        w = random_word(rng, XY, 58)
+        if rng.random() < 0.5:
+            # splice in an x x^-1 or x^-1 x cancellation
+            i = rng.randrange(len(w.letters) + 1)
+            g, s = rng.randrange(2), rng.choice((1, -1))
+            w = Word(XY, w.letters[:i] + ((g, s), (g, -s)) + w.letters[i:])
+        assert magnus_expand(w, order, ring) == _letter_fold(w, order, ring)
+
+
+def test_magnus_order_must_be_positive():
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            magnus_expand(parse_word("x y", XY), order, ZZ)
 
 
 def test_magnus_over_prime_field_reduces_coefficients():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from letterbraid import words
 from letterbraid.words import (Alphabet, ParseError, Word, commutator,
                                concat, format_word, free_reduce, inverse,
                                parse_word, power, substitute)
@@ -41,6 +42,21 @@ def test_parse_errors_carry_positions():
         parse_word("[x,y", XY)
     with pytest.raises(ParseError):
         parse_word("(x y", XY)
+
+
+def test_parse_word_refuses_words_above_the_letter_budget(monkeypatch):
+    # Never expanded: the budget check runs before a power is built.
+    with pytest.raises(ParseError, match="budget") as exc:
+        parse_word("((x^1000)^1000)^1000", XY)
+    assert exc.value.pos == 15
+    with pytest.raises(ParseError, match="budget"):
+        parse_word("x^1000000000000", XY)
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 10)
+    assert len(parse_word("(x y)^-5", XY)) == 10
+    assert len(parse_word("x^2 [x, y^3]", XY)) == 10
+    for text in ("x^11", "(x y)^-5 x", "x^6 y^5", "[x^2, y^4]"):
+        with pytest.raises(ParseError, match="budget"):
+            parse_word(text, XY)
 
 
 def test_free_reduce_and_inverse_basics():
