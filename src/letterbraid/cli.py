@@ -16,12 +16,12 @@ from . import finite
 from .braiding import braiding_number, braiding_polynomial
 from .johnson import johnson_level, johnson_tau, parse_endo
 from .magnus import magnus_expand, series_to_json
-from .presented import (GroupHom, Presentation, build_truncated_quotient,
-                        dimension_depth, invariants_basis, is_invariant, pair,
-                        parse_presentation, pullback)
+from .presented import (Presentation, build_truncated_quotient, dimension_depth,
+                        invariants_basis, is_invariant, pair, parse_presentation,
+                        pullback)
 from .rings import ring_from_flag
 from .tensors import format_tensor, parse_tensor, tensor_to_json
-from .words import Alphabet, ParseError, format_word, parse_word
+from .words import Alphabet, ParseError, format_word, parse_hom, parse_word
 
 
 def _emit(doc):
@@ -35,23 +35,6 @@ def _load_presentation(args, parser):
     if getattr(args, "gens", None):
         return Presentation.free(Alphabet.parse(args.gens))
     parser.error(f"'{args.command}' needs --presentation or --gens")
-
-
-def _split_map(text, target_alphabet):
-    """Parse 'a -> word, b -> word' against a target alphabet; returns the
-    left-hand names in order and the mapping."""
-    from .johnson import split_assignments
-    names, mapping = [], {}
-    for chunk in split_assignments(text):
-        if "->" not in chunk:
-            raise ValueError(f"expected 'gen -> word' in {chunk!r}")
-        name, expr = chunk.split("->", 1)
-        name = name.strip()
-        if name in mapping:
-            raise ValueError(f"duplicate image for {name!r}")
-        names.append(name)
-        mapping[name] = parse_word(expr, target_alphabet)
-    return names, mapping
 
 
 def _cmd_magnus(args, ring, P):
@@ -83,7 +66,7 @@ def _cmd_braid(args, ring, P):
 
 def _cmd_pair(args, ring, P):
     T = parse_tensor(args.tensor, P.alphabet, ring)
-    order = args.order or T.weight + 1
+    order = T.weight + 1 if args.order is None else args.order
     Q = build_truncated_quotient(P, order, ring)
     w = parse_word(args.word, P.alphabet)
     value = pair(Q, T, w)
@@ -155,15 +138,13 @@ def _cmd_depth(args, ring, P):
 
 
 def _cmd_pullback(args, ring, P):
-    names, mapping = _split_map(args.endo, P.alphabet)
-    source = Alphabet(names)
-    hom = GroupHom.from_mapping(source, mapping, target=P.alphabet)
+    hom = parse_hom(args.endo, P.alphabet)
     T = parse_tensor(args.tensor, P.alphabet, ring)
-    order = args.order or T.weight + 1
+    order = T.weight + 1 if args.order is None else args.order
     Q = build_truncated_quotient(P, order, ring)
     result = pullback(hom, T, Q)
     if args.format == "json":
-        _emit(dict(gens=list(source.names), **tensor_to_json(result)))
+        _emit(dict(gens=list(hom.source.names), **tensor_to_json(result)))
     else:
         print(format_tensor(result))
     return 0
@@ -171,7 +152,7 @@ def _cmd_pullback(args, ring, P):
 
 def _cmd_johnson(args, ring, P):
     endo = parse_endo(args.endo, P)
-    order = args.order or 4
+    order = 4 if args.order is None else args.order
     level = johnson_level(P, endo, ring, order)
     stage = args.weight
     if stage is None and not level.is_lower_bound:

@@ -6,6 +6,11 @@ generator to filtration degree k+1 in the truncated quotient ring; at
 level k it moves a weight-(k+1) invariant T by a weight-1 amount, and
 tau: T -> T - phi^*(T) is the resulting matrix into weight-1 invariants.
 
+An endomorphism is a ``words.GroupHom`` whose source and target are both
+the presentation's alphabet (``parse_endo`` reads ``x -> x, y -> x y x^-1``),
+and phi^* is ``presented.pullback``, the pullback along any homomorphism.
+Levels are reported as ``presented.DepthReport``, like depths.
+
 Endomorphisms are taken on faith as well-defined automorphisms: the only
 check performed is that relator images vanish at the truncation order,
 reported as a warning when violated.
@@ -15,101 +20,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .magnus import TruncSeries, magnus_expand
-from .presented import (GroupHom, build_truncated_quotient, invariants_basis,
+from .presented import (DepthReport, build_truncated_quotient, invariants_basis,
                         pullback)
 from .rings import reduce
 from .tensors import format_tensor
-from .words import Word, parse_word, substitute
-
-
-@dataclass(frozen=True)
-class Endo:
-    """Generator images of an endomorphism of the presented group."""
-
-    presentation: object
-    images: tuple  # Word per generator, over the same alphabet
-
-    @classmethod
-    def from_mapping(cls, presentation, mapping):
-        alphabet = presentation.alphabet
-        by_index = {}
-        for key, img in mapping.items():
-            idx = alphabet.index(key) if isinstance(key, str) else key
-            if img.alphabet != alphabet:
-                raise ValueError("endomorphism image alphabet mismatch")
-            by_index[idx] = img
-        missing = [alphabet.names[i] for i in range(len(alphabet)) if i not in by_index]
-        if missing:
-            raise ValueError(f"missing generator image for {missing[0]!r}")
-        return cls(presentation, tuple(by_index[i] for i in range(len(alphabet))))
-
-    def as_hom(self):
-        alphabet = self.presentation.alphabet
-        return GroupHom(alphabet, alphabet, self.images)
-
-    def apply(self, w):
-        return substitute(w, {i: self.images[i] for i in range(len(self.images))})
-
-
-def split_assignments(text):
-    """Split 'a -> u, b -> v' on commas outside brackets and parentheses."""
-    chunks = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    chunks.append("".join(current))
-    return [c for c in (chunk.strip() for chunk in chunks) if c]
+from .words import Word, parse_hom
 
 
 def parse_endo(text, presentation):
     """Endomorphism syntax: ``x -> x, y -> x y x^-1``."""
-    mapping = {}
-    for chunk in split_assignments(text):
-        if "->" not in chunk:
-            raise ValueError(f"expected 'gen -> word' in {chunk!r}")
-        name, expr = chunk.split("->", 1)
-        name = name.strip()
-        if name in mapping:
-            raise ValueError(f"duplicate image for {name!r}")
-        mapping[name] = parse_word(expr, presentation.alphabet)
-    return Endo.from_mapping(presentation, mapping)
-
-
-def compose(phi, psi):
-    """The endomorphism w -> phi(psi(w))."""
-    if phi.presentation != psi.presentation:
-        raise ValueError("presentation mismatch")
-    images = tuple(phi.apply(img) for img in psi.images)
-    return Endo(phi.presentation, images)
-
-
-class LevelReport(NamedTuple):
-    value: int
-    is_lower_bound: bool = False
-
-    def __str__(self):
-        return f">= {self.value}" if self.is_lower_bound else str(self.value)
-
-    def json_value(self):
-        return f">= {self.value}" if self.is_lower_bound else self.value
-
-    def at_least(self, k):
-        return self.value >= k
+    return parse_hom(text, presentation.alphabet, source=presentation.alphabet)
 
 
 def _generator_valuations(P, endo, ring, order):
+    if endo.source != P.alphabet or endo.target != P.alphabet:
+        raise ValueError("not an endomorphism of the presented group: it maps "
+                         f"{endo.source} to {endo.target}, not {P.alphabet} to itself")
     Q = build_truncated_quotient(P, order, ring)
     vals = []
     for i in range(len(P.alphabet)):
@@ -125,12 +53,13 @@ def johnson_level(P, endo, ring, order):
     >= k+1; the bound '>= order-1' when all differences vanish at truncation.
 
     Generators suffice: a ring endomorphism fixing the generator classes
-    modulo I^(k+1) fixes the whole truncated quotient ring.
+    modulo I^(k+1) fixes the whole truncated quotient ring.  ``endo`` is a
+    GroupHom from P's alphabet to itself; anything else is a ValueError.
     """
     _, vals = _generator_valuations(P, endo, ring, order)
     if all(v >= order for v in vals):
-        return LevelReport(order - 1, is_lower_bound=True)
-    return LevelReport(min(vals) - 1)
+        return DepthReport(order - 1, is_lower_bound=True)
+    return DepthReport(min(vals) - 1)
 
 
 @dataclass
@@ -138,7 +67,7 @@ class JohnsonReport:
     """tau at a fixed stage: rows are weight-(k+1) basis invariants (their
     classes modulo lower weight), columns are weight-1 basis invariants."""
 
-    level: LevelReport
+    level: DepthReport
     stage: int
     row_labels: list
     col_labels: list
@@ -168,11 +97,10 @@ def johnson_tau(P, endo, stage, ring):
     level = johnson_level(P, endo, ring, order)
     _warn_on_bad_relator_images(P, endo, ring, Q)
     basis = invariants_basis(P, order, ring)
-    hom = endo.as_hom()
     lower = [(e, v) for e, w, v in zip(basis.elements, basis.weights, basis.vectors)
              if w <= stage]
     for elt, _ in lower:
-        if pullback(hom, elt, Q) != elt:
+        if pullback(endo, elt, Q) != elt:
             raise ValueError(
                 "pullback moved an invariant of weight <= stage; tau would "
                 "not be well defined modulo lower weight")
@@ -187,7 +115,7 @@ def johnson_tau(P, endo, stage, ring):
     for elt, w in zip(basis.elements, basis.weights):
         if w != stage + 1:
             continue
-        delta = elt.sub(pullback(hom, elt, Q))
+        delta = elt.sub(pullback(endo, elt, Q))
         if delta.weight > 1:
             raise ValueError("tau image has weight > 1")
         if delta.counit != ring.zero:

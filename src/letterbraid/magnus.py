@@ -14,17 +14,19 @@ Magnus expansion.
 
 from __future__ import annotations
 
+from .rings import Combination
 from .words import Word, free_reduce
 
 
-class TruncSeries:
+class TruncSeries(Combination):
     """Noncommutative polynomial of degree < order; keys of length >= order
     are dropped at construction.  Mixed-order arithmetic is an error rather
     than an implicit re-truncation."""
 
-    __slots__ = ("ring", "alphabet", "order", "terms")
+    __slots__ = ("order",)
 
     def __init__(self, ring, alphabet, order, terms=None):
+        # One pass, no per-term hook: trunc_mul builds many small series.
         if order < 1:
             raise ValueError("order must be >= 1")
         self.ring = ring
@@ -48,47 +50,12 @@ class TruncSeries:
     def one(cls, ring, alphabet, order):
         return cls(ring, alphabet, order, {(): ring.one})
 
-    def coefficient(self, key):
-        return self.terms.get(tuple(key), self.ring.zero)
+    def _shape(self):
+        # Spelled out, not super()._shape() + ...: every trunc_mul checks it.
+        return (type(self).__name__, self.ring, self.alphabet, self.order)
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.ring != other.ring or self.alphabet != other.alphabet:
-            raise ValueError("ring or alphabet mismatch")
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def add(self, other):
-        self._check(other)
-        ring = self.ring
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = ring.add(out.get(k, ring.zero), v)
-            if s == ring.zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TruncSeries(ring, self.alphabet, self.order, out)
-
-    def sub(self, other):
-        return self.add(other.scale(self.ring.neg(self.ring.one)))
-
-    def scale(self, c):
-        ring = self.ring
-        if c == ring.zero:
-            return TruncSeries(ring, self.alphabet, self.order)
-        return TruncSeries(ring, self.alphabet, self.order,
-                           {k: ring.mul(c, v) for k, v in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.ring == other.ring
-                and self.alphabet == other.alphabet and self.order == other.order
-                and self.terms == other.terms)
+    def _new(self, terms):
+        return TruncSeries(self.ring, self.alphabet, self.order, terms)
 
     def __repr__(self):
         return f"TruncSeries(order={self.order}, {self.terms!r})"
@@ -102,17 +69,10 @@ def trunc_mul(a, b):
     out = {}
     for k1, v1 in a.terms.items():
         room = order - len(k1)
-        if room <= 0:
-            continue
         for k2, v2 in b.terms.items():
-            if len(k2) >= room:
-                continue
-            key = k1 + k2
-            s = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
-            if s == ring.zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            if len(k2) < room:
+                key = k1 + k2
+                out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
     return TruncSeries(ring, a.alphabet, order, out)
 
 
@@ -157,22 +117,11 @@ def series_to_json(s):
 # ---------------------------------------------------------------------------
 # free group ring and Fox calculus
 
-class FreeGroupRingElement:
+class FreeGroupRingElement(Combination):
     """Finite A-linear combination of freely reduced words, keyed by the
     reduced (gen, sign) letter tuples."""
 
-    __slots__ = ("ring", "alphabet", "terms")
-
-    def __init__(self, ring, alphabet, terms=None):
-        self.ring = ring
-        self.alphabet = alphabet
-        clean = {}
-        for key, val in (terms or {}).items():
-            key = tuple(key)
-            val = ring.normalize(val)
-            if val != ring.zero:
-                clean[key] = val
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, ring, w, coeff=None):
@@ -184,52 +133,19 @@ class FreeGroupRingElement:
     def one(cls, ring, alphabet):
         return cls(ring, alphabet, {(): ring.one})
 
-    def add(self, other):
-        ring = self.ring
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = ring.add(out.get(k, ring.zero), v)
-            if s == ring.zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return FreeGroupRingElement(ring, self.alphabet, out)
-
-    def sub(self, other):
-        return self.add(other.scale(self.ring.neg(self.ring.one)))
-
-    def scale(self, c):
-        ring = self.ring
-        if c == ring.zero:
-            return FreeGroupRingElement(ring, self.alphabet)
-        return FreeGroupRingElement(ring, self.alphabet,
-                                    {k: ring.mul(c, v) for k, v in self.terms.items()})
-
     def words(self):
         return [(Word(self.alphabet, key), val) for key, val in self.terms.items()]
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeGroupRingElement) and self.ring == other.ring
-                and self.alphabet == other.alphabet and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"FreeGroupRingElement({self.terms!r})"
 
 
 def group_ring_mul(a, b):
     """Convolution product; keys get freely reduced."""
-    if a.ring != b.ring or a.alphabet != b.alphabet:
-        raise ValueError("ring or alphabet mismatch")
+    a._check(b)
     ring = a.ring
     out = {}
     for k1, v1 in a.terms.items():
         for k2, v2 in b.terms.items():
             key = free_reduce(Word(a.alphabet, k1 + k2)).letters
-            s = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
-            if s == ring.zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
     return FreeGroupRingElement(ring, a.alphabet, out)
 
 
@@ -249,19 +165,9 @@ def fox_derivative(el, gen):
     out = {}
     for key, val in el.terms.items():
         for j, (g, s) in enumerate(key):
-            if g != gen:
-                continue
-            if s == 1:
-                prefix = key[:j]
-                contrib = val
-            else:
-                prefix = key[:j + 1]
-                contrib = ring.neg(val)
-            acc = ring.add(out.get(prefix, ring.zero), contrib)
-            if acc == ring.zero:
-                out.pop(prefix, None)
-            else:
-                out[prefix] = acc
+            if g == gen:
+                prefix, contrib = (key[:j], val) if s == 1 else (key[:j + 1], ring.neg(val))
+                out[prefix] = ring.add(out.get(prefix, ring.zero), contrib)
     return FreeGroupRingElement(ring, el.alphabet, out)
 
 

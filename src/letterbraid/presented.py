@@ -27,11 +27,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .magnus import TruncSeries, magnus_expand, trunc_mul
 from .rings import annihilator, echelon, elementary_divisors, reduce
 from .tensors import TensorElement
-from .words import Alphabet, Word, free_reduce, parse_word, substitute
+from .words import Alphabet, Word, free_reduce, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,6 @@ def parse_presentation(text):
 
 def format_presentation(P):
     lines = ["gens: " + " ".join(P.alphabet.names)]
-    from .words import format_word
     lines.extend("rel: " + format_word(r) for r in P.relators)
     return "\n".join(lines) + "\n"
 
@@ -192,19 +192,6 @@ class TruncatedQuotient:
         return min((len(self.monomials[i]) for i in self._remainder(vec)),
                    default=self.order)
 
-    def basis(self):
-        """Representative monomials of a module basis (non-pivot monomials),
-        each with its filtration degree."""
-        pivot_set = set(self.span_pivots)
-        reps = []
-        for i, m in enumerate(self.monomials):
-            if i in pivot_set:
-                continue
-            e = [self.ring.zero] * len(self.monomials)
-            e[i] = self.ring.one
-            reps.append((m, self.filtration_valuation(e)))
-        return reps
-
 
 @functools.lru_cache(maxsize=64)
 def build_truncated_quotient(P, order, ring):
@@ -283,9 +270,6 @@ class InvariantBasis:
     monomials: list
     elementary_divisors: object = None
 
-    def of_weight(self, w):
-        return [e for e, wt in zip(self.elements, self.weights) if wt == w]
-
     def __len__(self):
         return len(self.elements)
 
@@ -310,9 +294,9 @@ def invariants_basis(P, order, ring):
                           elementary_divisors=Q.elementary_divisors)
 
 
-@dataclass(frozen=True)
-class DepthReport:
-    """Dimension-series depth: exact value, or a lower bound at truncation."""
+class DepthReport(NamedTuple):
+    """A filtration degree (dimension-series depth, Johnson level): the
+    exact value, or a lower bound reached at the truncation order."""
 
     value: int
     is_lower_bound: bool = False
@@ -322,6 +306,9 @@ class DepthReport:
 
     def json_value(self):
         return f">= {self.value}" if self.is_lower_bound else self.value
+
+    def at_least(self, k):
+        return self.value >= k
 
 
 def dimension_depth(Q, w):
@@ -337,34 +324,6 @@ def dimension_depth(Q, w):
     if k >= Q.order:
         return DepthReport(Q.order, is_lower_bound=True)
     return DepthReport(k)
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    """A homomorphism given on generators: source generator -> target word."""
-
-    source: Alphabet
-    target: Alphabet
-    images: tuple  # Word per source generator, in order
-
-    @classmethod
-    def from_mapping(cls, source, mapping, target=None):
-        by_index = {}
-        for key, img in mapping.items():
-            idx = source.index(key) if isinstance(key, str) else key
-            by_index[idx] = img
-        missing = [source.names[i] for i in range(len(source)) if i not in by_index]
-        if missing:
-            raise ValueError(f"missing generator image for {missing[0]!r}")
-        imgs = tuple(by_index[i] for i in range(len(source)))
-        tgt = target or (imgs[0].alphabet if imgs else source)
-        for img in imgs:
-            if img.alphabet != tgt:
-                raise ValueError("generator images use different alphabets")
-        return cls(source, tgt, imgs)
-
-    def apply(self, w):
-        return substitute(w, {i: self.images[i] for i in range(len(self.source))})
 
 
 def pullback(h, T, Q_target):

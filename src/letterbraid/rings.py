@@ -1,7 +1,9 @@
-"""Exact coefficient arithmetic over Z, Q and F_p, plus the one sparse
-elimination kernel everything else calls: ``echelon`` (reduced echelon form
-over a field, row Hermite form over ZZ), ``reduce`` (canonical remainder and
-multipliers against such rows) and the Smith divisor chain of Hermite rows.
+"""Exact coefficient arithmetic over Z, Q and F_p, the sparse linear
+combination (``Combination``) that tensors, truncated series and group-ring
+elements share, and the one sparse elimination kernel everything else
+calls: ``echelon`` (reduced echelon form over a field, row Hermite form over
+ZZ), ``reduce`` (canonical remainder and multipliers against such rows) and
+the Smith divisor chain of Hermite rows.
 
 Scalars are ordinary Python values: ``int`` for integer and prime-field
 coefficients (prime-field residues canonical in ``0..p-1``) and
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -240,31 +241,78 @@ def ring_from_flag(flag):
     raise ValueError(f"bad ring flag {flag!r}; expected z, q or fp:<p>")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A ring value together with its ring, for boundary code (CLI, JSON)."""
+class Combination:
+    """A finite linear combination of keys with coefficients in a ring:
+    ``terms`` maps keys (tuples) to nonzero ring values.  Instances are
+    treated as immutable.
 
-    ring: RingSpec
-    value: object
+    Tensors, truncated series and group-ring elements all are such
+    combinations; each subclass adds only what differs: which keys it
+    allows (``_key``), any further shape such as a truncation order
+    (``_shape``, ``_new``) and its own products.  Operands must have the
+    same shape, kind included, and so must elements that compare equal.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.ring.from_int(self.value)
-                           if isinstance(self.value, int) and self.ring.kind != "integers"
-                           else self.value)
+    __slots__ = ("ring", "alphabet", "terms")
 
-    def __add__(self, other):
-        assert self.ring == other.ring
-        return Scalar(self.ring, self.ring.add(self.value, other.value))
+    def __init__(self, ring, alphabet, terms=None):
+        self.ring = ring
+        self.alphabet = alphabet
+        clean = {}
+        for key, val in (terms or {}).items():
+            key = self._key(key)
+            val = ring.normalize(val)
+            if val != ring.zero:
+                clean[key] = val
+        self.terms = clean
 
-    def __mul__(self, other):
-        assert self.ring == other.ring
-        return Scalar(self.ring, self.ring.mul(self.value, other.value))
+    def _key(self, key):
+        return tuple(key)
 
-    def __neg__(self):
-        return Scalar(self.ring, self.ring.neg(self.value))
+    def _shape(self):
+        return (type(self).__name__, self.ring, self.alphabet)
 
-    def __str__(self):
-        return self.ring.format(self.value)
+    def _new(self, terms):
+        """An element of the same shape with the given terms."""
+        return type(self)(self.ring, self.alphabet, terms)
+
+    def _check(self, other):
+        if self._shape() != other._shape():
+            raise ValueError(f"operand mismatch: {self._shape()} vs {other._shape()}")
+
+    def coefficient(self, key):
+        return self.terms.get(tuple(key), self.ring.zero)
+
+    def is_zero(self):
+        return not self.terms
+
+    def add(self, other):
+        return self._merge(other, self.ring.add)
+
+    def sub(self, other):
+        return self._merge(other, self.ring.sub)
+
+    def _merge(self, other, op):
+        self._check(other)
+        zero = self.ring.zero
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = op(out.get(k, zero), v)
+        return self._new(out)
+
+    def scale(self, c):
+        mul = self.ring.mul
+        return self._new({k: mul(c, v) for k, v in self.terms.items()})
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def __eq__(self, other):
+        return (isinstance(other, Combination) and self._shape() == other._shape()
+                and self.terms == other.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from .rings import Combination
 from .words import Alphabet, ParseError, _NAME
 
 
@@ -31,28 +32,18 @@ def dual_functional(alphabet, ring, gen):
     return Functional(alphabet, tuple(coeffs))
 
 
-class TensorElement:
-    """Finite linear combination of generator-index sequences (keys).
+class TensorElement(Combination):
+    """Finite linear combination of generator-index sequences (keys),
+    possibly including the empty key."""
 
-    ``terms`` maps key tuples (possibly the empty tuple) to nonzero ring
-    values.  Instances are treated as immutable.
-    """
+    __slots__ = ()
 
-    __slots__ = ("ring", "alphabet", "terms")
-
-    def __init__(self, ring, alphabet, terms=None):
-        self.ring = ring
-        self.alphabet = alphabet
-        clean = {}
-        for key, val in (terms or {}).items():
-            key = tuple(key)
-            for g in key:
-                if not 0 <= g < len(alphabet):
-                    raise ValueError(f"key index {g} out of range")
-            val = ring.normalize(val)
-            if val != ring.zero:
-                clean[key] = val
-        self.terms = clean
+    def _key(self, key):
+        key = tuple(key)
+        if key and (min(key) < 0 or max(key) >= len(self.alphabet)):
+            bad = next(g for g in key if not 0 <= g < len(self.alphabet))
+            raise ValueError(f"key index {bad} out of range")
+        return key
 
     @classmethod
     def zero(cls, ring, alphabet):
@@ -84,63 +75,20 @@ class TensorElement:
     def counit(self):
         return self.terms.get((), self.ring.zero)
 
-    def coefficient(self, key):
-        return self.terms.get(tuple(key), self.ring.zero)
-
-    def is_zero(self):
-        return not self.terms
-
-    def add(self, other):
-        self._check(other)
-        ring = self.ring
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = ring.add(out.get(k, ring.zero), v)
-            if s == ring.zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorElement(ring, self.alphabet, out)
-
-    def sub(self, other):
-        return self.add(other.scale(self.ring.neg(self.ring.one)))
-
-    def scale(self, c):
-        ring = self.ring
-        if c == ring.zero:
-            return TensorElement(ring, self.alphabet)
-        return TensorElement(ring, self.alphabet,
-                             {k: ring.mul(c, v) for k, v in self.terms.items()})
-
     def leading_term(self, n):
         """The homogeneous weight-n part (n = 0 picks out the unit part)."""
-        return TensorElement(self.ring, self.alphabet,
-                             {k: v for k, v in self.terms.items() if len(k) == n})
+        return self._new({k: v for k, v in self.terms.items() if len(k) == n})
 
     def reduced(self):
         """Drop the unit part."""
-        return TensorElement(self.ring, self.alphabet,
-                             {k: v for k, v in self.terms.items() if k})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return self._new({k: v for k, v in self.terms.items() if k})
 
     def functionals(self, key):
         """The pure tensor of dual functionals named by a key."""
         return [dual_functional(self.alphabet, self.ring, g) for g in key]
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.ring == other.ring
-                and self.alphabet == other.alphabet and self.terms == other.terms)
-
     def __repr__(self):
         return f"TensorElement({format_tensor(self)!r})"
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
 
 
 def tensor_product(a, b):
@@ -151,12 +99,16 @@ def tensor_product(a, b):
     for k1, v1 in a.terms.items():
         for k2, v2 in b.terms.items():
             key = k1 + k2
-            s = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
-            if s == ring.zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
     return TensorElement(ring, a.alphabet, out)
+
+
+def _collect(ring, items):
+    """Sum (key, value) pairs by key, dropping the keys that sum to zero."""
+    out = {}
+    for key, val in items:
+        out[key] = ring.add(out.get(key, ring.zero), val)
+    return {key: val for key, val in out.items() if val != ring.zero}
 
 
 def coproduct(T):
@@ -165,32 +117,13 @@ def coproduct(T):
     Returns a dict mapping (left_key, right_key) to coefficients, so that
     the value of Delta(T) is the corresponding sum of pure tensor pairs.
     """
-    ring = T.ring
-    out = {}
-    for key, val in T.terms.items():
-        for i in range(len(key) + 1):
-            pair = (key[:i], key[i:])
-            s = ring.add(out.get(pair, ring.zero), val)
-            if s == ring.zero:
-                out.pop(pair, None)
-            else:
-                out[pair] = s
-    return out
+    return _collect(T.ring, (((key[:i], key[i:]), val) for key, val in T.terms.items()
+                             for i in range(len(key) + 1)))
 
 
 def reduced_coproduct(T):
     """Deconcatenation with the two trivial splits and the unit part omitted."""
-    ring = T.ring
-    out = {}
-    for key, val in T.terms.items():
-        for i in range(1, len(key)):
-            pair = (key[:i], key[i:])
-            s = ring.add(out.get(pair, ring.zero), val)
-            if s == ring.zero:
-                out.pop(pair, None)
-            else:
-                out[pair] = s
-    return out
+    return iterated_reduced_coproduct(T, 1)
 
 
 def iterated_reduced_coproduct(T, k):
@@ -201,36 +134,19 @@ def iterated_reduced_coproduct(T, k):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    ring = T.ring
-    out = {}
-    for key, val in T.terms.items():
-        n = len(key)
-        if n < k + 1:
-            continue
-        # Splits of the key into k+1 nonempty consecutive blocks.
-        for cuts in _compositions(n, k + 1):
-            blocks = []
-            start = 0
-            for c in cuts:
-                blocks.append(key[start:start + c])
-                start += c
-            bt = tuple(blocks)
-            s = ring.add(out.get(bt, ring.zero), val)
-            if s == ring.zero:
-                out.pop(bt, None)
-            else:
-                out[bt] = s
-    return out
+    return _collect(T.ring, ((blocks, val) for key, val in T.terms.items()
+                             for blocks in _splits(key, k + 1)))
 
 
-def _compositions(n, parts):
-    """All ways to write n as an ordered sum of `parts` positive integers."""
+def _splits(key, parts):
+    """All ways to cut a key into `parts` nonempty consecutive blocks."""
     if parts == 1:
-        yield (n,)
+        if key:
+            yield (key,)
         return
-    for first in range(1, n - parts + 2):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    for i in range(1, len(key) - parts + 2):
+        for rest in _splits(key[i:], parts - 1):
+            yield (key[:i],) + rest
 
 
 class BraidPolynomial:

@@ -1,5 +1,6 @@
 """Free-group words over a named alphabet: parsing, free reduction, group
-operations and substitution along homomorphisms.
+operations, and homomorphisms given on generators (``GroupHom``, parsed
+from ``a -> u, b -> v`` by ``parse_hom``) with substitution along them.
 
 Words keep whatever letter sequence they were built with; nothing reduces
 implicitly.  ``free_reduce`` is the only place cancellation happens, so
@@ -10,6 +11,7 @@ under reduction stays a testable property.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -151,36 +153,86 @@ def power(w, k):
     return Word(w.alphabet, inverse(w).letters * (-k))
 
 
+@dataclass(frozen=True)
+class GroupHom:
+    """A homomorphism of free groups given on generators: one target word
+    per source generator, in order.  An endomorphism has source equal to
+    target."""
+
+    source: Alphabet
+    target: Alphabet
+    images: tuple
+
+    @classmethod
+    def from_mapping(cls, source, mapping, target=None):
+        """From {generator name or index: image word}; the target defaults
+        to the images' common alphabet."""
+        by_index = {}
+        for key, img in mapping.items():
+            idx = source.index(key) if isinstance(key, str) else key
+            by_index[idx] = img
+        missing = [source.names[i] for i in range(len(source)) if i not in by_index]
+        if missing:
+            raise ValueError(f"missing generator image for {missing[0]!r}")
+        imgs = tuple(by_index[i] for i in range(len(source)))
+        tgt = target or (imgs[0].alphabet if imgs else source)
+        for img in imgs:
+            if img.alphabet != tgt:
+                raise ValueError("generator images use different alphabets")
+        return cls(source, tgt, imgs)
+
+    def apply(self, w):
+        """The freely reduced image of a word over the source."""
+        if w.alphabet != self.source:
+            raise ValueError("alphabet mismatch")
+        out = []
+        for gen, sign in w.letters:
+            img = self.images[gen].letters
+            out.extend(img if sign == 1 else [Letter(g, -s) for g, s in reversed(img)])
+        return free_reduce(Word(self.target, out))
+
+
+def compose(phi, psi):
+    """The homomorphism w -> phi(psi(w)), for psi's target phi's source."""
+    if psi.target != phi.source:
+        raise ValueError("homomorphisms do not compose: target and source differ")
+    return GroupHom(psi.source, phi.target, tuple(phi.apply(img) for img in psi.images))
+
+
 def substitute(w, images):
     """Image of w under the homomorphism sending each generator to a word.
 
     ``images`` maps generator names (or indices) of w's alphabet to Words
     over a common target alphabet.  The result is freely reduced.
     """
-    alphabet = w.alphabet
-    by_index = {}
-    for key, img in images.items():
-        idx = alphabet.index(key) if isinstance(key, str) else key
-        by_index[idx] = img
-    target = None
-    for img in by_index.values():
-        if target is None:
-            target = img.alphabet
-        elif img.alphabet != target:
-            raise ValueError("generator images use different alphabets")
-    missing = [alphabet.names[i] for i in range(len(alphabet)) if i not in by_index]
-    if missing:
-        raise ValueError(f"missing generator image for {missing[0]!r}")
-    if target is None:
-        target = alphabet
-    out = []
-    for let in w.letters:
-        img = by_index[let.gen]
-        if let.sign == 1:
-            out.extend(img.letters)
-        else:
-            out.extend(inverse(img).letters)
-    return free_reduce(Word(target, out))
+    return GroupHom.from_mapping(w.alphabet, images).apply(w)
+
+
+def parse_hom(text, target, source=None):
+    """A homomorphism from ``a -> u, b -> v`` with words over ``target``.
+
+    Without ``source`` the source generators are the left-hand names, in
+    order; with it, every source generator needs exactly one image.
+    """
+    chunks, depth, start = [], 0, 0
+    for i, ch in enumerate(text):  # split on commas outside brackets
+        depth += (ch in "([") - (ch in ")]")
+        if ch == "," and depth == 0:
+            chunks.append(text[start:i])
+            start = i + 1
+    chunks.append(text[start:])
+    mapping = {}
+    for chunk in filter(None, map(str.strip, chunks)):
+        if "->" not in chunk:
+            raise ValueError(f"expected 'gen -> word' in {chunk!r}")
+        name, expr = chunk.split("->", 1)
+        name = name.strip()
+        if name in mapping:
+            raise ValueError(f"duplicate image for {name!r}")
+        mapping[name] = parse_word(expr, target)
+    if source is None:
+        source = Alphabet(mapping)
+    return GroupHom.from_mapping(source, mapping, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +255,12 @@ def _tokenize_word(text):
             m = re.match(r"\^(-?\d+)", text[i:])
             if not m:
                 raise ParseError("malformed exponent", i)
-            tokens.append(("pow", int(m.group(1)), i))
+            try:
+                k = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"exponent of {len(m.group(1).lstrip('-'))} digits is above "
+                                 f"the letter budget of {MAX_WORD_LETTERS}", i) from None
+            tokens.append(("pow", k, i))
             i += len(m.group(0))
             continue
         m = _NAME.match(text, i)

@@ -17,7 +17,7 @@ from letterbraid.braiding import (CircleWord, braiding_number,
                                   multi_evaluation, product_check,
                                   pullback_to_circle, weight_reduce)
 from letterbraid.finite import heisenberg_table, ideal_power_dims
-from letterbraid.johnson import compose, johnson_level, johnson_tau, parse_endo
+from letterbraid.johnson import johnson_level, johnson_tau, parse_endo
 from letterbraid.magnus import (FreeGroupRingElement, augment, fox_derivative,
                                 group_ring_mul, magnus_expand)
 from letterbraid.presented import (build_truncated_quotient, dimension_depth,
@@ -25,7 +25,7 @@ from letterbraid.presented import (build_truncated_quotient, dimension_depth,
                                    parse_presentation)
 from letterbraid.rings import ZZ, PrimeField
 from letterbraid.tensors import (TensorElement, dual_functional, parse_tensor)
-from letterbraid.words import Word, parse_word
+from letterbraid.words import Word, compose, parse_word
 
 from conftest import (XY, all_keys, cyclic_presentation, free_presentation,
                       nested_commutator, random_tensor, random_word, span_rank)
@@ -282,7 +282,8 @@ def test_criterion_09_johnson():
                 g = Word.generator(free2.alphabet, i)
                 images[name] = lb.free_reduce(
                     lb.concat(u, lb.concat(g, lb.inverse(u))))
-            return lb.Endo.from_mapping(free2, images)
+            return lb.GroupHom.from_mapping(free2.alphabet, images,
+                                            target=free2.alphabet)
 
         rng = random.Random(1009)
         for trial in range(50):

@@ -109,18 +109,31 @@ def test_magnus_schema_and_values(capsys):
     assert {"key": ["y", "x"], "coeff": "-1"} in doc["terms"]
 
 
-def test_magnus_order_zero_exits_one(capsys):
-    code, out, err = run(capsys, "magnus", "--gens", "x,y", "--word", "x y",
+ORDER_ZERO_ARGS = {
+    "magnus": ["--word", "x y"],
+    "depth": ["--word", "x y"],
+    "pair": ["--tensor", "x", "--word", "x y"],
+    "pullback": ["--endo", "s -> x y", "--tensor", "x"],
+    "johnson": ["--endo", "x -> x, y -> y"],
+}
+
+
+@pytest.mark.parametrize("command", list(ORDER_ZERO_ARGS))
+def test_magnus_order_zero_exits_one(capsys, command):
+    # An explicit --order 0 is refused, never replaced by a default order.
+    code, out, err = run(capsys, command, "--gens", "x,y", *ORDER_ZERO_ARGS[command],
                          "--order", "0", "--ring", "z")
     assert (code, out) == (1, "")
     assert err == "lb: order must be >= 1\n"
 
 
 def test_word_above_the_letter_budget_exits_two(capsys):
-    code, out, err = run(capsys, "magnus", "--gens", "x", "--word",
-                         "((x^1000)^1000)^1000", "--order", "2", "--ring", "z")
-    assert (code, out) == (2, "")
-    assert err.startswith("lb: parse error: ") and "budget" in err
+    # The second exponent has more digits than int() converts.
+    for word in ("((x^1000)^1000)^1000", "x^" + "9" * 4400):
+        code, out, err = run(capsys, "magnus", "--gens", "x", "--word",
+                             word, "--order", "2", "--ring", "z")
+        assert (code, out) == (2, "")
+        assert err.startswith("lb: parse error: ") and "budget" in err
 
 
 def test_pair_command(capsys, tmp_path):

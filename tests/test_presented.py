@@ -5,7 +5,7 @@ import pytest
 
 import letterbraid as lb
 from letterbraid.braiding import braiding_number, multi_evaluation
-from letterbraid.presented import (GroupHom, Presentation,
+from letterbraid.presented import (Presentation,
                                    build_truncated_quotient, dimension_depth,
                                    invariants_basis, is_invariant,
                                    monomials_below, pair, parse_presentation,
@@ -13,7 +13,7 @@ from letterbraid.presented import (GroupHom, Presentation,
 from letterbraid.rings import ZZ, PrimeField
 from letterbraid.tensors import (TensorElement, parse_tensor,
                                  reduced_coproduct)
-from letterbraid.words import Alphabet, Word, parse_word
+from letterbraid.words import Alphabet, GroupHom, Word, parse_word
 
 from conftest import (XY, cyclic_presentation, free_presentation, in_span,
                       nested_commutator, random_word)
@@ -384,18 +384,6 @@ def test_integer_torsion_is_reported_not_hidden():
     basis = invariants_basis(P, 2, ZZ)
     assert [e.terms for e in basis.elements] == [{(): 1}]
     assert 2 in basis.elementary_divisors
-
-
-def test_quotient_basis_reports_filtration_degrees():
-    P = free_presentation("x")
-    Q = build_truncated_quotient(P, 3, ZZ)
-    assert Q.basis() == [((), 0), ((0,), 1), ((0, 0), 2)]
-    # in F2[C2] the square of the augmentation ideal already vanishes,
-    # while F2[C4] keeps a class at filtration degree 2
-    Q2 = build_truncated_quotient(cyclic_presentation(2), 3, F2)
-    assert Q2.basis() == [((), 0), ((0,), 1)]
-    Q4 = build_truncated_quotient(cyclic_presentation(4), 3, F2)
-    assert ((0, 0), 2) in Q4.basis()
 
 
 def test_presentation_parser_rejects_garbage():

@@ -163,16 +163,6 @@ def test_field_axioms_random_triples():
                 assert ring.mul(a, ring.invert(a)) == ring.one
 
 
-def test_scalar_wrapper():
-    from letterbraid.rings import Scalar
-    F5 = PrimeField(5)
-    a = Scalar(F5, 7)
-    assert a.value == 2 and str(a) == "2"
-    assert (a + Scalar(F5, 4)).value == 1
-    assert (-Scalar(ZZ, 3)).value == -3
-    assert (Scalar(QQ, 2) * Scalar(QQ, Fraction(1, 2))).value == 1
-
-
 def test_rank_and_kernel_dimensions_agree():
     rng = random.Random(4)
     for ring in (QQ, PrimeField(3), ZZ):

@@ -4,8 +4,9 @@ import pytest
 
 from letterbraid import words
 from letterbraid.words import (Alphabet, ParseError, Word, commutator,
-                               concat, format_word, free_reduce, inverse,
-                               parse_word, power, substitute)
+                               compose, concat, format_word, free_reduce,
+                               inverse, parse_hom, parse_word, power,
+                               substitute)
 
 from conftest import XY, random_word
 
@@ -51,6 +52,9 @@ def test_parse_word_refuses_words_above_the_letter_budget(monkeypatch):
     assert exc.value.pos == 15
     with pytest.raises(ParseError, match="budget"):
         parse_word("x^1000000000000", XY)
+    with pytest.raises(ParseError, match="budget") as exc:
+        parse_word("x^" + "9" * 4400, XY)  # more digits than int() converts
+    assert exc.value.pos == 1
     monkeypatch.setattr(words, "MAX_WORD_LETTERS", 10)
     assert len(parse_word("(x y)^-5", XY)) == 10
     assert len(parse_word("x^2 [x, y^3]", XY)) == 10
@@ -113,6 +117,25 @@ def test_substitute_is_a_homomorphism():
         lhs = substitute(concat(u, v), images)
         rhs = free_reduce(concat(substitute(u, images), substitute(v, images)))
         assert lhs == rhs
+
+
+def test_parse_hom_compose_and_apply():
+    E = Alphabet(["e1", "e2"])
+    # Without a source, the left-hand names in order are the source.
+    h = parse_hom("t -> e2^-1, s -> [e1, e2]", E)
+    assert (h.source, h.target) == (Alphabet(["t", "s"]), E)
+    assert format_word(h.images[1]) == "e1 e2 e1^-1 e2^-1"
+    g = parse_hom("e2 -> y x, e1 -> x", XY, source=E)
+    gh = compose(g, h)
+    assert (gh.source, gh.target) == (h.source, XY)
+    w = parse_word("s t^2 s^-1", h.source)
+    assert gh.apply(w) == g.apply(h.apply(w))
+    with pytest.raises(ValueError, match="do not compose"):
+        compose(h, g)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        h.apply(parse_word("x", XY))
+    with pytest.raises(ValueError, match="unknown generator"):
+        parse_hom("e1 -> x, e3 -> y", XY, source=E)
 
 
 def test_format_parse_round_trip():
