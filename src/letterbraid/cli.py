@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import finite
 from .braiding import braiding_number, braiding_polynomial
@@ -22,6 +23,10 @@ from .presented import (Presentation, build_truncated_quotient, dimension_depth,
 from .rings import ring_from_flag
 from .tensors import format_tensor, parse_tensor, tensor_to_json
 from .words import Alphabet, ParseError, format_word, parse_hom, parse_word
+
+
+def _warning_line(message, category, filename, lineno, line=None):
+    return f"lb: warning: {message}\n"
 
 
 def _emit(doc):
@@ -242,6 +247,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    default_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         fn, required, context = _COMMANDS[args.command]
@@ -259,6 +265,8 @@ def main(argv=None):
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"lb: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

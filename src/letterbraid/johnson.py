@@ -57,6 +57,10 @@ def johnson_level(P, endo, ring, order):
     GroupHom from P's alphabet to itself; anything else is a ValueError.
     """
     _, vals = _generator_valuations(P, endo, ring, order)
+    return _level(vals, order)
+
+
+def _level(vals, order):
     if all(v >= order for v in vals):
         return DepthReport(order - 1, is_lower_bound=True)
     return DepthReport(min(vals) - 1)
@@ -94,13 +98,10 @@ def johnson_tau(P, endo, stage, ring):
         raise ValueError(
             f"endomorphism has level {min(vals) - 1} < stage {stage}: generator "
             f"{P.alphabet.names[bad]!r} moves at filtration degree {vals[bad]}")
-    level = johnson_level(P, endo, ring, order)
     _warn_on_bad_relator_images(P, endo, ring, Q)
     basis = invariants_basis(P, order, ring)
-    lower = [(e, v) for e, w, v in zip(basis.elements, basis.weights, basis.vectors)
-             if w <= stage]
-    for elt, _ in lower:
-        if pullback(endo, elt, Q) != elt:
+    for elt, w in zip(basis.elements, basis.weights):
+        if w <= stage and pullback(endo, elt, Q) != elt:
             raise ValueError(
                 "pullback moved an invariant of weight <= stage; tau would "
                 "not be well defined modulo lower weight")
@@ -108,7 +109,7 @@ def johnson_tau(P, endo, stage, ring):
                if w == 1]
     # Basis vectors are echelon rows: each one's pivot is its leftmost
     # entry, and the pivots are distinct, so the coefficients are unique.
-    w1_rows = [{i: x for i, x in enumerate(v) if x} for _, v in weight1]
+    w1_rows = [v for _, v in weight1]
     w1_pivots = [min(row) for row in w1_rows]
     rows = []
     labels = []
@@ -120,14 +121,13 @@ def johnson_tau(P, endo, stage, ring):
             raise ValueError("tau image has weight > 1")
         if delta.counit != ring.zero:
             raise ValueError("tau image has a unit part")
-        remainder, coeffs = reduce(ring, w1_rows, w1_pivots,
-                                   {Q.index[k]: x for k, x in delta.terms.items()})
+        remainder, coeffs = reduce(ring, w1_rows, w1_pivots, Q.tensor_vector(delta))
         if remainder:
             raise ValueError(
                 "tau image is not a combination of weight-1 invariants")
         rows.append(coeffs)
         labels.append(format_tensor(elt))
-    return JohnsonReport(level=level, stage=stage, row_labels=labels,
+    return JohnsonReport(level=_level(vals, order), stage=stage, row_labels=labels,
                          col_labels=[format_tensor(e) for e, _ in weight1],
                          matrix=rows, ring=ring)
 
@@ -137,8 +137,7 @@ def _warn_on_bad_relator_images(P, endo, ring, Q):
     for r in P.relators:
         image = endo.apply(r)
         shifted = magnus_expand(image, Q.order, ring).sub(one)
-        nf = Q.normal_form(Q.series_vector(shifted))
-        if any(x != ring.zero for x in nf):
+        if Q.normal_form(Q.series_vector(shifted)):
             warnings.warn(
                 f"endomorphism does not kill relator {r!r} at truncation "
                 f"order {Q.order}; it may not be well defined on the group",

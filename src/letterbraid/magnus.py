@@ -18,6 +18,25 @@ from .rings import Combination
 from .words import Word, free_reduce
 
 
+MONOMIAL_CAP = 200_000
+
+
+def check_monomial_budget(n_gens, order):
+    """Raise ValueError when the monomials of degree < order over n_gens
+    generators number more than MONOMIAL_CAP, counting at least one per
+    degree: each degree costs a slot even over no generators.  The count
+    stops at the cap, so a huge order is refused before anything is
+    allocated."""
+    count, level = 0, 1
+    for _ in range(order):
+        count += level or 1
+        if count > MONOMIAL_CAP:
+            raise ValueError(
+                f"truncation order {order} over {n_gens} generators needs more "
+                f"than the cap of {MONOMIAL_CAP} monomials; lower the order")
+        level *= n_gens
+
+
 class TruncSeries(Combination):
     """Noncommutative polynomial of degree < order; keys of length >= order
     are dropped at construction.  Mixed-order arithmetic is an error rather
@@ -26,7 +45,7 @@ class TruncSeries(Combination):
     __slots__ = ("order",)
 
     def __init__(self, ring, alphabet, order, terms=None):
-        # One pass, no per-term hook: trunc_mul builds many small series.
+        # One pass, no per-term hook: every magnus_expand ends in one.
         if order < 1:
             raise ValueError("order must be >= 1")
         self.ring = ring
@@ -51,8 +70,7 @@ class TruncSeries(Combination):
         return cls(ring, alphabet, order, {(): ring.one})
 
     def _shape(self):
-        # Spelled out, not super()._shape() + ...: every trunc_mul checks it.
-        return (type(self).__name__, self.ring, self.alphabet, self.order)
+        return super()._shape() + (self.order,)
 
     def _new(self, terms):
         return TruncSeries(self.ring, self.alphabet, self.order, terms)
@@ -62,7 +80,8 @@ class TruncSeries(Combination):
 
 
 def trunc_mul(a, b):
-    """Concatenation product, truncated at the common order."""
+    """Concatenation product, truncated at the common order.  No production
+    path multiplies series; the tests use it as the reference product."""
     a._check(b)
     ring = a.ring
     order = a.order
@@ -88,6 +107,7 @@ def magnus_expand(w, order, ring):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    check_monomial_budget(len(w.alphabet), order)
     zero = ring.zero
     levels = [{(): ring.one}] + [{} for _ in range(order - 1)]
     for gen, sign in w.letters:

@@ -3,6 +3,9 @@ explicit quotient of the span of noncommutative monomials, the invariant
 coalgebra up to a weight bound, the invariance test with witnesses,
 dimension-series depth, pairing, and pullbacks along homomorphisms.
 
+Vectors on the monomial basis are sparse dicts {monomial index: value},
+the rows ``rings.echelon`` and ``rings.reduce`` take.
+
 The quotient is presented on the monomial basis below the truncation
 order, in graded-lex order, modulo the span of the sandwiched relator
 series m1 * (M(r) - 1) * m2 over monomial pairs with
@@ -20,6 +23,11 @@ pivot, so no element of the span can cancel its lowest-degree part.  The
 invariants are the annihilator of the span, read off its echelon form.
 Integer torsion is reported through elementary divisors, never silently
 dropped.
+
+Pullbacks are the coalgebra map of a homomorphism h: the coefficient of
+h^*(T) at (s1, ..., sk) sums, over the k-fold cuts B1 | ... | Bk of T's
+keys (the iterated reduced coproduct), T's coefficient times the product
+of the coefficients of Bi in M(h(si)).
 """
 
 from __future__ import annotations
@@ -29,9 +37,9 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .magnus import TruncSeries, magnus_expand, trunc_mul
+from .magnus import TruncSeries, check_monomial_budget, magnus_expand
 from .rings import annihilator, echelon, elementary_divisors, reduce
-from .tensors import TensorElement
+from .tensors import TensorElement, iterated_reduced_coproduct, tensor_product
 from .words import Alphabet, Word, free_reduce, format_word, parse_word
 
 
@@ -93,9 +101,6 @@ def monomials_below(n_gens, order):
     return out
 
 
-MONOMIAL_CAP = 200_000
-
-
 class TruncatedQuotient:
     """A[G]/I^order presented by monomials modulo the relator-ideal span."""
 
@@ -111,11 +116,7 @@ class TruncatedQuotient:
         self.order = order
         self.presentation = presentation
         k = len(self.alphabet)
-        count = sum(k ** d for d in range(order))
-        if count > MONOMIAL_CAP:
-            raise ValueError(
-                f"truncation order {order} over {k} generators needs {count} "
-                f"monomials, above the cap of {MONOMIAL_CAP}; lower the order")
+        check_monomial_budget(k, order)
         self.monomials = monomials_below(k, order)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.columns = []
@@ -160,36 +161,24 @@ class TruncatedQuotient:
     def series_vector(self, series):
         if series.order != self.order:
             raise ValueError("series order mismatch")
-        vec = [self.ring.zero] * len(self.monomials)
-        for key, val in series.terms.items():
-            vec[self.index[key]] = val
-        return vec
+        return {self.index[key]: val for key, val in series.terms.items()}
 
     def tensor_vector(self, T):
         if T.weight >= self.order:
             raise ValueError(f"tensor weight {T.weight} >= truncation order {self.order}")
-        vec = [self.ring.zero] * len(self.monomials)
-        for key, val in T.terms.items():
-            vec[self.index[key]] = val
-        return vec
-
-    def _remainder(self, vec):
-        sparse = {i: x for i, x in enumerate(vec) if x}
-        return reduce(self.ring, self.span_rows, self.span_pivots, sparse)[0]
+        return {self.index[key]: val for key, val in T.terms.items()}
 
     def normal_form(self, vec):
-        """Canonical representative of vec modulo the relator-ideal span."""
-        nf = [self.ring.zero] * len(self.monomials)
-        for i, x in self._remainder(vec).items():
-            nf[i] = x
-        return nf
+        """Canonical representative of the sparse vector vec modulo the
+        relator-ideal span, as a sparse vector."""
+        return reduce(self.ring, self.span_rows, self.span_pivots, vec)[0]
 
     def filtration_valuation(self, vec):
         """Largest k <= order with vec in the image of degree >= k monomials
         plus the relator span; returns order itself when the normal form
         vanishes (meaning: at least the truncation order).  This is the
         lowest monomial degree in the support of the normal form."""
-        return min((len(self.monomials[i]) for i in self._remainder(vec)),
+        return min((len(self.monomials[i]) for i in self.normal_form(vec)),
                    default=self.order)
 
 
@@ -216,11 +205,7 @@ def pair(Q, T, combo):
         if w.alphabet != Q.alphabet:
             raise ValueError("alphabet mismatch")
         series = magnus_expand(w, Q.order, ring)
-        val = ring.zero
-        for key, c in T.terms.items():
-            sval = series.terms.get(key)
-            if sval is not None:
-                val = ring.add(val, ring.mul(c, sval))
+        val = ring.sum(ring.mul(c, series.coefficient(key)) for key, c in T.terms.items())
         total = ring.add(total, ring.mul(coeff, val))
     return total
 
@@ -250,7 +235,7 @@ def is_invariant(P, T):
     Q = build_truncated_quotient(P, T.weight + 1, ring)
     vec = Q.tensor_vector(T)
     for col, meta in zip(Q.columns, Q.column_meta):
-        s = ring.sum(ring.mul(vec[i], x) for i, x in col.items())
+        s = ring.sum(ring.mul(vec[i], x) for i, x in col.items() if i in vec)
         if s != ring.zero:
             m1, ri, m2 = meta
             return False, Witness(m1, ri, P.relators[ri], m2, s)
@@ -259,7 +244,9 @@ def is_invariant(P, T):
 
 @dataclass
 class InvariantBasis:
-    """Canonical basis of the invariants of weight <= max_weight."""
+    """Canonical basis of the invariants of weight <= max_weight.  The
+    vectors are the annihilator's sparse echelon rows on the quotient's
+    monomial indices, one per element."""
 
     ring: object
     alphabet: Alphabet
@@ -267,7 +254,6 @@ class InvariantBasis:
     elements: list
     weights: list
     vectors: list
-    monomials: list
     elementary_divisors: object = None
 
     def __len__(self):
@@ -280,17 +266,14 @@ def invariants_basis(P, order, ring):
     lattice (the dual of the free part of the quotient), with the
     elementary divisors attached as a torsion diagnostic."""
     Q = build_truncated_quotient(P, order, ring)
-    nmons = len(Q.monomials)
-    kernel = annihilator(ring, Q.span_rows, Q.span_pivots, nmons)
+    kernel = annihilator(ring, Q.span_rows, Q.span_pivots, len(Q.monomials))
     pairs = sorted(((TensorElement(ring, P.alphabet,
                                    {Q.monomials[i]: x for i, x in v.items()}), v)
                     for v in kernel), key=lambda ev: (ev[0].weight, min(ev[1])))
     elements = [e for e, _ in pairs]
     return InvariantBasis(ring=ring, alphabet=P.alphabet, max_weight=order - 1,
                           elements=elements, weights=[e.weight for e in elements],
-                          vectors=[[v.get(i, ring.zero) for i in range(nmons)]
-                                   for _, v in pairs],
-                          monomials=Q.monomials,
+                          vectors=[v for _, v in pairs],
                           elementary_divisors=Q.elementary_divisors)
 
 
@@ -330,9 +313,10 @@ def pullback(h, T, Q_target):
     """h^*(T) over the source alphabet.
 
     The weight-k coefficient at a source sequence (s1,...,sk) is the
-    multi-evaluation of T against h(s1) | ... | h(sk), computed here as the
-    coefficient pairing of T with the truncated series product
-    (M(h(s1)) - 1) ... (M(h(sk)) - 1).  Satisfies the push-pull identity
+    multi-evaluation of T against h(s1) | ... | h(sk): the sum, over the
+    cuts (B1, ..., Bk) of ``iterated_reduced_coproduct(T, k-1)``, of the
+    cut's coefficient times the coefficients of B1, ..., Bk in
+    M(h(s1)), ..., M(h(sk)).  Satisfies the push-pull identity
     <h^*(T), w> = <T, h(w)>.
     """
     ring = T.ring
@@ -340,30 +324,13 @@ def pullback(h, T, Q_target):
         raise ValueError("tensor alphabet does not match the target quotient")
     if T.weight >= Q_target.order:
         raise ValueError(f"tensor weight {T.weight} >= truncation order {Q_target.order}")
-    order = Q_target.order
-    one = TruncSeries.one(ring, Q_target.alphabet, order)
-    shifted = [magnus_expand(img, order, ring).sub(one) for img in h.images]
-    terms = {}
-    if T.counit != ring.zero:
-        terms[()] = T.counit
-
-    def visit(key, series):
-        if key:
-            val = ring.zero
-            for tkey, c in T.terms.items():
-                sval = series.terms.get(tkey)
-                if sval is not None:
-                    val = ring.add(val, ring.mul(c, sval))
-            if val != ring.zero:
-                terms[key] = val
-        if len(key) >= T.weight:
-            return
-        for s in range(len(h.source)):
-            nxt = trunc_mul(series, shifted[s])
-            if nxt.is_zero():
-                continue
-            visit(key + (s,), nxt)
-
-    visit((), one)
-    return TensorElement(ring, h.source, terms)
-
+    images = [magnus_expand(img, T.weight + 1, ring) for img in h.images]
+    result = TensorElement.unit(ring, h.source, T.counit)
+    for k in range(1, T.weight + 1):
+        for blocks, c in iterated_reduced_coproduct(T, k - 1).items():
+            term = TensorElement.unit(ring, h.source, c)
+            for B in blocks:
+                term = tensor_product(term, TensorElement(ring, h.source, {
+                    (s,): m.coefficient(B) for s, m in enumerate(images)}))
+            result = result.add(term)
+    return result

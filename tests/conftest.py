@@ -44,6 +44,23 @@ def all_keys(n_gens, max_weight, min_weight=1):
         yield from itertools.product(range(n_gens), repeat=r)
 
 
+def merge_keys(u, v, infiltrate):
+    """Shuffle or infiltration product of two keys, as {key: multiplicity}:
+    ua * vb = (u * vb) a + (ua * v) b, plus (u * v) a when a == b for the
+    infiltration product."""
+    if not u or not v:
+        return {u + v: 1}
+    out = {}
+    parts = [(merge_keys(u[:-1], v, infiltrate), u[-1]),
+             (merge_keys(u, v[:-1], infiltrate), v[-1])]
+    if infiltrate and u[-1] == v[-1]:
+        parts.append((merge_keys(u[:-1], v[:-1], infiltrate), u[-1]))
+    for merged, last in parts:
+        for key, m in merged.items():
+            out[key + (last,)] = out.get(key + (last,), 0) + m
+    return out
+
+
 def sparse(vec):
     return {i: x for i, x in enumerate(vec) if x}
 

@@ -19,7 +19,8 @@ from letterbraid.tensors import (BraidPolynomial, TensorElement, dual_functional
                                  iterated_reduced_coproduct, parse_tensor)
 from letterbraid.words import Word, parse_word
 
-from conftest import XY, XYZ, all_keys, nested_commutator, random_tensor, random_word
+from conftest import (XY, XYZ, all_keys, merge_keys, nested_commutator, random_tensor,
+                      random_word)
 
 X = dual_functional(XY, ZZ, 0)
 Y = dual_functional(XY, ZZ, 1)
@@ -312,23 +313,6 @@ def test_empty_word_evaluates_to_the_counit():
     assert braiding_number(elem, w) == 0
 
 
-def _merge(u, v, infiltrate):
-    """Shuffle or infiltration product of two keys, as {key: multiplicity}:
-    ua * vb = (u * vb) a + (ua * v) b, plus (u * v) a when a == b for the
-    infiltration product."""
-    if not u or not v:
-        return {u + v: 1}
-    out = {}
-    parts = [(_merge(u[:-1], v, infiltrate), u[-1]),
-             (_merge(u, v[:-1], infiltrate), v[-1])]
-    if infiltrate and u[-1] == v[-1]:
-        parts.append((_merge(u[:-1], v[:-1], infiltrate), u[-1]))
-    for merged, last in parts:
-        for key, m in merged.items():
-            out[key + (last,)] = out.get(key + (last,), 0) + m
-    return out
-
-
 def _product_law_cases(seed, count):
     rng = random.Random(seed)
     for ring in (ZZ, PrimeField(3)):
@@ -341,7 +325,7 @@ def _product_law_cases(seed, count):
 def _law_sides(ring, u, v, w, infiltrate):
     """ell_u(w) ell_v(w) and ell_{u * v}(w), by braiding numbers and by
     Magnus coefficients."""
-    merged = {k: ring.from_int(m) for k, m in _merge(u, v, infiltrate).items()}
+    merged = {k: ring.from_int(m) for k, m in merge_keys(u, v, infiltrate).items()}
     lhs = ring.mul(braiding_number(TensorElement(ring, XY, {u: ring.one}), w),
                    braiding_number(TensorElement(ring, XY, {v: ring.one}), w))
     rhs = braiding_number(TensorElement(ring, XY, merged), w)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,6 +130,18 @@ def test_magnus_order_zero_exits_one(capsys, command):
     assert err == "lb: order must be >= 1\n"
 
 
+@pytest.mark.parametrize("command", list(ORDER_ZERO_ARGS))
+def test_order_above_the_monomial_budget_exits_one(capsys, command):
+    # The monomial count stops at the cap before anything is allocated, so
+    # even 10^9 is refused at once, and the message names the cap.
+    for order in ("20000", "2000000", "1000000000"):
+        code, out, err = run(capsys, command, "--gens", "x,y", *ORDER_ZERO_ARGS[command],
+                             "--order", order, "--ring", "z")
+        assert (code, out) == (1, "")
+        assert err == (f"lb: truncation order {order} over 2 generators needs more "
+                       "than the cap of 200000 monomials; lower the order\n")
+
+
 def test_word_above_the_letter_budget_exits_two(capsys):
     # The second exponent has more digits than int() converts.
     for word in ("((x^1000)^1000)^1000", "x^" + "9" * 4400):
@@ -242,6 +257,22 @@ def test_johnson_domain_failures_exit_one(capsys, tmp_path):
     assert "weight-1 invariants" in err
 
 
+def test_johnson_warning_is_one_line_without_a_source_path(tmp_path):
+    pres = tmp_path / "heis.pres"
+    pres.write_text(HEIS)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "letterbraid.cli", "johnson", "--presentation", str(pres),
+         "--endo", "x -> x, y -> y, z -> z [x,y]", "--ring", "fp:2", "--weight", "1"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "lb: warning: endomorphism does not kill relator Word('x y x^-1 y^-1 z^-1') "
+        "at truncation order 3; it may not be well defined on the group\n"
+        "lb: tau image is not a combination of weight-1 invariants\n")
+
+
 def test_parse_errors_exit_two(capsys):
     code, _, err = run(capsys, "braid", "--gens", "x y", "--tensor", "x|w",
                        "--word", "x", "--ring", "z")
@@ -272,3 +303,4 @@ def test_text_format_mentions_the_convention(capsys):
                        "--word", "[x*y, x^-2]", "--ring", "z", "--format", "text")
     assert code == 0
     assert "leftmost" in out
+

@@ -7,7 +7,7 @@ from letterbraid.magnus import (FreeGroupRingElement, TruncSeries, augment,
                                 fox_derivative, group_ring_mul, iterated_fox,
                                 magnus_expand, series_to_json, trunc_mul)
 from letterbraid.rings import QQ, ZZ, PrimeField
-from letterbraid.words import Word, parse_word
+from letterbraid.words import Alphabet, Word, parse_word
 
 from conftest import XY, all_keys, random_word
 
@@ -173,6 +173,14 @@ def test_magnus_order_must_be_positive():
     for order in (0, -1):
         with pytest.raises(ValueError, match="order must be >= 1"):
             magnus_expand(parse_word("x y", XY), order, ZZ)
+
+
+def test_magnus_order_above_the_monomial_cap_raises_at_once():
+    # Over no generators only the slot per degree counts toward the cap.
+    for alphabet, order in ((XY, 18), (XY, 10 ** 9), (Alphabet([]), 10 ** 9)):
+        with pytest.raises(ValueError, match="cap of 200000 monomials"):
+            magnus_expand(Word.identity(alphabet), order, ZZ)
+    assert magnus_expand(Word.identity(XY), 17, ZZ).terms == {(): 1}
 
 
 def test_magnus_over_prime_field_reduces_coefficients():

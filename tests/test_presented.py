@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -10,13 +11,15 @@ from letterbraid.presented import (Presentation,
                                    invariants_basis, is_invariant,
                                    monomials_below, pair, parse_presentation,
                                    pullback)
-from letterbraid.rings import ZZ, PrimeField
+from letterbraid.magnus import TruncSeries, magnus_expand, trunc_mul
+from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.tensors import (TensorElement, parse_tensor,
                                  reduced_coproduct)
 from letterbraid.words import Alphabet, GroupHom, Word, parse_word
 
-from conftest import (XY, cyclic_presentation, free_presentation, in_span,
-                      nested_commutator, random_word)
+from conftest import (XY, XYZ, cyclic_presentation, free_presentation, in_span,
+                      merge_keys, nested_commutator, random_tensor, random_word,
+                      sparse)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -53,9 +56,12 @@ def test_trivial_relator_collapses_everything():
 
 
 def test_monomial_cap_raises_cleanly():
-    P = free_presentation("x", "y", "z")
-    with pytest.raises(ValueError, match="cap"):
-        build_truncated_quotient(P, 14, ZZ)
+    # The count stops at the cap, so even a huge order is refused at once.
+    for P, order in ((free_presentation("x", "y", "z"), 14),
+                     (free_presentation("x", "y"), 20_000),
+                     (free_presentation("x"), 10 ** 9), (free_presentation(), 10 ** 9)):
+        with pytest.raises(ValueError, match="cap of 200000 monomials"):
+            build_truncated_quotient(P, order, ZZ)
 
 
 def test_graded_lex_order():
@@ -109,10 +115,12 @@ def test_heisenberg_invariants(heisenberg_presentation):
     basis = invariants_basis(P, 3, F2)
     assert len(basis) == 5
     assert basis.weights == [0, 1, 1, 2, 2]
-    xy_plus_z = build_truncated_quotient(P, 3, F2).tensor_vector(tensor("x|y + z", P, F2))
-    assert in_span(F2, basis.vectors, xy_plus_z)
-    z_alone = build_truncated_quotient(P, 3, F2).tensor_vector(tensor("z", P, F2))
-    assert not in_span(F2, basis.vectors, z_alone)
+    Q = build_truncated_quotient(P, 3, F2)
+    vectors = [dense(Q, v) for v in basis.vectors]
+    xy_plus_z = dense(Q, Q.tensor_vector(tensor("x|y + z", P, F2)))
+    assert in_span(F2, vectors, xy_plus_z)
+    z_alone = dense(Q, Q.tensor_vector(tensor("z", P, F2)))
+    assert not in_span(F2, vectors, z_alone)
 
 
 def test_free_group_invariants_are_all_monomials():
@@ -251,6 +259,45 @@ def test_pullback_push_pull_identity():
         assert lhs == rhs
 
 
+def pullback_by_definition(h, T):
+    """h^*(T) by its definition: the coefficient at (s1, ..., sk) pairs T
+    with the truncated product (M(h(s1)) - 1) ... (M(h(sk)) - 1)."""
+    ring, order = T.ring, T.weight + 1
+    one = TruncSeries.one(ring, h.target, order)
+    shifted = [magnus_expand(img, order, ring).sub(one) for img in h.images]
+    terms = {(): T.counit}
+    for k in range(1, order):
+        for key in itertools.product(range(len(h.source)), repeat=k):
+            product = functools.reduce(trunc_mul, (shifted[s] for s in key), one)
+            terms[key] = ring.sum(ring.mul(c, product.coefficient(tkey))
+                                  for tkey, c in T.terms.items())
+    return TensorElement(ring, h.source, terms)
+
+
+def test_pullback_matches_its_definition():
+    rng = random.Random(54)
+    sources = [Alphabet(["s"]), Alphabet(["s", "t"]), Alphabet(["s", "t", "u"])]
+    for ring in (ZZ, QQ, F2, F3):
+        for target in (XY, XYZ):
+            Q = build_truncated_quotient(Presentation.free(target), 4, ring)
+            for trial in range(20):
+                source = rng.choice(sources)
+                images = {}
+                for name in source.names:
+                    w = random_word(rng, target, 4)
+                    if trial % 4 == 1:  # empty images
+                        w = Word.identity(target)
+                    elif trial % 4 == 2:  # unreduced: g g^-1 in the middle
+                        g = rng.randrange(len(target))
+                        w = lb.concat(w, Word(target, [(g, 1), (g, -1)] + list(w.letters)))
+                    images[name] = w
+                h = GroupHom.from_mapping(source, images, target=target)
+                T = random_tensor(rng, target, ring, max_weight=3)
+                if trial % 5 == 3:  # counit only
+                    T = TensorElement.unit(ring, target, ring.from_int(rng.randint(-3, 3)))
+                assert pullback(h, T, Q) == pullback_by_definition(h, T), (ring, h, T)
+
+
 def test_pullback_weight_overflow_errors():
     P = free_presentation("x")
     Q = build_truncated_quotient(P, 2, ZZ)
@@ -309,9 +356,10 @@ def test_coalgebra_closure(heisenberg_presentation, pb3_presentation):
         mons = Q.monomials
         pair_index = {(a, b): k for k, (a, b) in
                       enumerate(itertools.product(mons, mons))}
+        vectors = [dense(Q, v) for v in basis.vectors]
         cols = []
-        for va in basis.vectors:
-            for vb in basis.vectors:
+        for va in vectors:
+            for vb in vectors:
                 col = [ring.zero] * len(pair_index)
                 for i, a in enumerate(mons):
                     if va[i] == ring.zero:
@@ -326,6 +374,37 @@ def test_coalgebra_closure(heisenberg_presentation, pb3_presentation):
             for (a, b), c in reduced_coproduct(T).items():
                 target[pair_index[(a, b)]] = c
             assert in_span(ring, cols, target)
+
+
+def infiltration(u, v):
+    """The infiltration product of two tensors, bilinear in their keys."""
+    ring = u.ring
+    terms = {}
+    for a, x in u.terms.items():
+        for b, y in v.terms.items():
+            for key, m in merge_keys(a, b, infiltrate=True).items():
+                c = ring.mul(ring.from_int(m), ring.mul(x, y))
+                terms[key] = ring.add(terms.get(key, ring.zero), c)
+    return TensorElement(ring, u.alphabet, terms)
+
+
+def test_invariants_are_closed_under_the_infiltration_product(
+        heisenberg_presentation, pb3_presentation, surface_presentation):
+    # Chen-Fox-Lyndon: the infiltration product of invariants u and v
+    # evaluates on the group as the product of their evaluations, so it
+    # is again an invariant (of weight <= weight(u) + weight(v)).
+    z6z4 = parse_presentation("gens: x y\nrel: x^6\nrel: y^4\nrel: [x,y]\n")
+    bs12 = parse_presentation("gens: a b\nrel: b a b^-1 a^-2\n")
+    groups = [heisenberg_presentation, pb3_presentation, surface_presentation,
+              cyclic_presentation(3), z6z4, bs12]
+    N = 5
+    for P in groups:
+        for ring in (ZZ, QQ, F2, F3):
+            basis = invariants_basis(P, N, ring)
+            graded = [(e, w) for e, w in zip(basis.elements, basis.weights) if w]
+            for (u, wu), (v, wv) in itertools.combinations_with_replacement(graded, 2):
+                if wu + wv < N:
+                    assert is_invariant(P, infiltration(u, v))[0], (P, ring, u, v)
 
 
 def test_pairing_is_representative_independent(heisenberg_presentation,
@@ -460,4 +539,4 @@ def test_filtration_valuation_matches_a_rank_oracle(heisenberg_presentation):
                 if rank(ring, rows + [vec]) == rank(ring, rows):
                     expected = k
                     break
-            assert Q.filtration_valuation(vec) == expected, (P, ring, vec)
+            assert Q.filtration_valuation(sparse(vec)) == expected, (P, ring, vec)

@@ -1,10 +1,14 @@
 """Property tests: the linear-combination laws shared by tensors,
-truncated series and group-ring elements, and parser round trips.
+truncated series and group-ring elements, parser round trips, and fuzzed
+``lb`` command lines.
 
 Example counts are kept small and derandomized, so the suite stays fast
 and every run draws the same cases.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from letterbraid.cli import main
+from letterbraid.finite import heisenberg_table
 from letterbraid.magnus import FreeGroupRingElement, TruncSeries
 from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.tensors import TensorElement, format_tensor, parse_tensor
@@ -94,3 +100,77 @@ def test_tensor_format_round_trips(ring):
 def test_word_format_round_trips(letters):
     w = Word(XY, letters)
     assert parse_word(format_word(w), XY) == w
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every subcommand, with flags drawn from valid and malformed values
+
+# flag -> (valid values, malformed values)
+FUZZ_POOLS = {
+    "ring": (["z", "q", "fp:2", "fp:3"], ["fp:4", "fp:", "r", ""]),
+    "format": (["json", "text", "latex"], ["xml"]),
+    "gens": (["x y", "x,y", "x y z"], ["", "x x", "1x"]),
+    "presentation": (["heis.pres"], ["garbled.pres", "missing.pres", "binary.pres", "."]),
+    "word": (["x", "[x,y] x^2", "x^-1 y", "", "[x,y]^3", "z x z^-1"], ["x^", "w", "((x"]),
+    "tensor": (["x|y + z", "x", "1", "2/3 x", "x|y|x|y|x|y|x", "3 - y|x"], ["x|", "", "w"]),
+    "endo": (["x -> x, y -> y", "x -> x y, y -> y", "s -> x y", "x -> x, y -> x y x^-1",
+              "x -> x, y -> y, z -> z [x,y]"], ["x -> ", "garbage"]),
+    "order": (["1", "3", "6"], ["0", "-1", "abc"]),
+    "weight": (["0", "1", "2", "3"], ["-1", "x"]),
+    "table": (["heis.json"], ["garbled.json", "nomul.json", "missing.json"]),
+}
+FUZZ_FLAGS = {
+    "magnus": ["word", "order"], "braid": ["tensor", "word"],
+    "pair": ["tensor", "word", "order"], "invariants": ["weight"],
+    "check": ["tensor"], "depth": ["word", "order"],
+    "pullback": ["tensor", "endo", "order"], "johnson": ["endo", "order", "weight"],
+    "oracle": ["table", "order", "word"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    table = heisenberg_table(2).to_json()
+    nomul = dict(table)
+    del nomul["mul"]
+    (root / "heis.pres").write_text(
+        "gens: x y z\nrel: x^2\nrel: y^2\nrel: z^2\nrel: [x,y] z^-1\n")
+    (root / "garbled.pres").write_text("gens x y\nrel: [x,\n")
+    (root / "binary.pres").write_bytes(b"gens: x\xff\xfe\n")
+    (root / "heis.json").write_text(json.dumps(table))
+    (root / "garbled.json").write_text('{"size": 2, "mul": [[0, 1]')
+    (root / "nomul.json").write_text(json.dumps(nomul))
+    return root
+
+
+@st.composite
+def fuzz_argv(draw):
+    """Mostly present flags with mostly valid values, so that every exit
+    code is common; now and then a flag the command does not take."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = ["ring", "format", draw(st.sampled_from(["gens", "presentation"]))]
+    flags += FUZZ_FLAGS[command]
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_POOLS))))
+    argv = [command]
+    for flag in flags:
+        if draw(st.integers(0, 5)):
+            valid, malformed = FUZZ_POOLS[flag]
+            pool = malformed if draw(st.integers(0, 4)) == 0 else valid
+            argv += [f"--{flag}", draw(st.sampled_from(pool))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_command_lines_exit_cleanly(fuzz_dir, argv):
+    argv = [str(fuzz_dir / arg) if prev in ("--presentation", "--table") else arg
+            for prev, arg in zip([None] + argv, argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue(), argv
