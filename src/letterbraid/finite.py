@@ -109,25 +109,46 @@ def _convolve(ring, table, u, v):
     return out
 
 
+# Most ideal powers ideal_power_dims reports, for any ring; over the
+# integers, where the powers need not settle (in Z[C2], I^k = 2^(k-1) I) and
+# each one costs about size^3 work, also the most order * size^3.  Both are
+# checked before any power is computed.
+MAX_POWER_ORDER = 10_000
+MAX_INTEGER_POWER_WORK = 500_000
+
+
 def ideal_power_dims(table, ring, N):
     """Shapes of A[G]/I^k for k = 1..N by literal linear algebra.
 
-    Over a field: a list of dimensions.  Over the integers: a list of
-    (free rank, elementary divisors of I^k) pairs.
+    Over a field: a list of dimensions.  They are constant from the first k
+    with I^k = I^(k+1) on, so the powers stop there.  Over the integers: a
+    list of (free rank, elementary divisors of I^k) pairs, every power
+    computed, since nothing need settle.  N is checked against the budgets
+    first.
     """
     n = table.size
+    if N > MAX_POWER_ORDER:
+        raise ValueError(f"order {N} is above the budget of "
+                         f"{MAX_POWER_ORDER} ideal powers")
+    if not ring.is_field and N * n ** 3 > MAX_INTEGER_POWER_WORK:
+        raise ValueError(
+            f"order {N} on a table of size {n} is above the integer budget: "
+            f"order * size^3 must stay within {MAX_INTEGER_POWER_WORK}")
     aug_basis = [{g: ring.one, table.identity: ring.neg(ring.one)}
                  for g in range(n) if g != table.identity]
     out = []
     power, _ = echelon(ring, aug_basis)
-    for _ in range(N):
+    while len(out) < N:
         if ring.is_field:
             out.append(n - len(power))
         else:
             divisors = elementary_divisors(power, len(power))
             out.append((n - len(power), tuple(d for d in divisors if d != 1)))
         products = [_convolve(ring, table, v, w) for v in power for w in aug_basis]
-        power, _ = echelon(ring, products)
+        nxt, _ = echelon(ring, products)
+        if ring.is_field and len(nxt) == len(power):
+            out += out[-1:] * (N - len(out))  # I^(k+1) = I^k from here on
+        power = nxt
     return out
 
 

@@ -26,7 +26,7 @@ from .presented import (DepthReport, build_truncated_quotient, invariants_basis,
                         pullback)
 from .rings import reduce
 from .tensors import format_tensor
-from .words import Word, parse_hom
+from .words import Word, format_word, parse_hom
 
 
 def parse_endo(text, presentation):
@@ -139,7 +139,8 @@ def _warn_on_bad_relator_images(P, endo, ring, Q):
         shifted = magnus_expand(image, Q.order, ring).sub(one)
         if Q.normal_form(Q.series_vector(shifted)):
             warnings.warn(
-                f"endomorphism does not kill relator {r!r} at truncation "
-                f"order {Q.order}; it may not be well defined on the group",
+                f"endomorphism does not kill relator {format_word(r)!r} at "
+                f"truncation order {Q.order}; it may not be well defined on the "
+                f"group",
                 stacklevel=3)
             return

@@ -85,10 +85,11 @@ class Word:
 
     def __init__(self, alphabet, letters=()):
         self.alphabet = alphabet
+        n = len(alphabet)
         lets = []
         for item in letters:
             g, s = item
-            if not 0 <= g < len(alphabet):
+            if not 0 <= g < n:
                 raise ValueError(f"letter index {g} out of range")
             if s not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {s}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,24 @@ def test_oracle_command(capsys, tmp_path):
     assert doc["word_image"] == heisenberg_table(2).gens["z"]
 
 
+@pytest.mark.parametrize("ring", ["fp:2", "z"])
+def test_oracle_refuses_a_huge_order_at_once(tmp_path, ring):
+    # Over a field the powers settle, but the answer would still list 10^9
+    # entries; over Z they need not settle.  Both are refused up front.
+    table = tmp_path / "heis.json"
+    table.write_text(json.dumps(heisenberg_table(2).to_json()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "letterbraid.cli", "oracle", "--table", str(table),
+         "--ring", ring, "--order", "1000000000"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - started < 1.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "lb: order 1000000000 is above the budget of 10000 ideal powers\n"
+
+
 @pytest.mark.parametrize("missing", ["size", "mul", "gens"])
 def test_oracle_rejects_a_table_without_a_key(capsys, tmp_path, missing):
     doc = heisenberg_table(2).to_json()
@@ -268,7 +287,7 @@ def test_johnson_warning_is_one_line_without_a_source_path(tmp_path):
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
-        "lb: warning: endomorphism does not kill relator Word('x y x^-1 y^-1 z^-1') "
+        "lb: warning: endomorphism does not kill relator 'x y x^-1 y^-1 z^-1' "
         "at truncation order 3; it may not be well defined on the group\n"
         "lb: tau image is not a combination of weight-1 invariants\n")
 

@@ -1,15 +1,17 @@
 import pytest
 
 import letterbraid as lb
-from letterbraid.finite import (FiniteGroupTable, cyclic_table,
+from letterbraid.finite import (MAX_INTEGER_POWER_WORK, MAX_POWER_ORDER,
+                                FiniteGroupTable, cyclic_table,
                                 direct_product_table, heisenberg_table,
                                 ideal_power_dims, word_image)
 from letterbraid.presented import (build_truncated_quotient, invariants_basis,
                                    pair, parse_presentation)
-from letterbraid.rings import ZZ, PrimeField
+from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.words import Alphabet, Word, parse_word
 
 from conftest import cyclic_presentation, span_rank
+from oracles import all_power_dims
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -57,6 +59,27 @@ def test_ideal_power_dims_over_the_integers():
     assert shapes[0] == (1, ())
     assert shapes[1] == (1, (2,))  # I^2 = 2*I inside Z[C2]
     assert shapes[2] == (1, (4,))
+
+
+def test_ideal_power_dims_stop_where_the_powers_settle():
+    # Over a field the answer is read off the first k with I^k = I^(k+1);
+    # the literal computation of all N powers gives the same list.
+    c2xc3 = direct_product_table(cyclic_table(2, "x"), cyclic_table(3, "y"))
+    for table in (cyclic_table(4), c2xc3, heisenberg_table(2)):
+        for ring in (F2, F3, QQ, ZZ):
+            for N in (0, 1, 3, 9):
+                assert ideal_power_dims(table, ring, N) == all_power_dims(table, ring, N)
+
+
+def test_ideal_power_dims_check_the_budget_first():
+    table = heisenberg_table(2)
+    with pytest.raises(ValueError, match="budget of 10000 ideal powers"):
+        ideal_power_dims(table, F2, MAX_POWER_ORDER + 1)
+    assert ideal_power_dims(table, F2, MAX_POWER_ORDER)[-1] == 8
+    # over Z each power costs about size^3, and the divisors keep growing
+    over = MAX_INTEGER_POWER_WORK // table.size ** 3 + 1
+    with pytest.raises(ValueError, match="integer budget"):
+        ideal_power_dims(table, ZZ, over)
 
 
 def oracle_fixtures():
