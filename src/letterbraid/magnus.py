@@ -1,21 +1,15 @@
-"""Truncated noncommutative power series, the Magnus expansion, the free
-group ring, and Fox derivatives.
+"""Truncated noncommutative power series and the Magnus expansion.
 
 ``presented`` and ``johnson`` read every word through the Magnus
-expansion.  On free groups it and the Fox derivatives are also separate
-routes to the same numbers as the circle model in ``braiding``; the test
-suite plays them against each other.
-
-Order convention for iterated Fox derivatives: the value attached to a key
-(i1, ..., ik) applies the derivative for ik first (innermost) and i1 last,
-then augments.  This matches the coefficient of X_{i1}...X_{ik} in the
-Magnus expansion.
+expansion.  On free groups it is also a separate route to the same
+numbers as the chain sums in ``braiding``; the test suite plays them
+against each other, and against the Fox calculus and the circle model
+that it keeps as oracles.
 """
 
 from __future__ import annotations
 
 from .rings import Combination
-from .words import Word, free_reduce
 
 
 MONOMIAL_CAP = 200_000
@@ -79,22 +73,6 @@ class TruncSeries(Combination):
         return f"TruncSeries(order={self.order}, {self.terms!r})"
 
 
-def trunc_mul(a, b):
-    """Concatenation product, truncated at the common order.  No production
-    path multiplies series; the tests use it as the reference product."""
-    a._check(b)
-    ring = a.ring
-    order = a.order
-    out = {}
-    for k1, v1 in a.terms.items():
-        room = order - len(k1)
-        for k2, v2 in b.terms.items():
-            if len(k2) < room:
-                key = k1 + k2
-                out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
-    return TruncSeries(ring, a.alphabet, order, out)
-
-
 def magnus_expand(w, order, ring):
     """Magnus expansion of a word, truncated below the given order.
 
@@ -132,69 +110,3 @@ def magnus_expand(w, order, ring):
 def series_to_json(s):
     return [{"key": [s.alphabet.names[g] for g in key], "coeff": s.ring.format(val)}
             for key, val in s.sorted_terms()]
-
-
-# ---------------------------------------------------------------------------
-# free group ring and Fox calculus
-
-class FreeGroupRingElement(Combination):
-    """Finite A-linear combination of freely reduced words, keyed by the
-    reduced (gen, sign) letter tuples."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_word(cls, ring, w, coeff=None):
-        red = free_reduce(w)
-        c = ring.one if coeff is None else coeff
-        return cls(ring, w.alphabet, {red.letters: c})
-
-    @classmethod
-    def one(cls, ring, alphabet):
-        return cls(ring, alphabet, {(): ring.one})
-
-    def words(self):
-        return [(Word(self.alphabet, key), val) for key, val in self.terms.items()]
-
-
-def group_ring_mul(a, b):
-    """Convolution product; keys get freely reduced."""
-    a._check(b)
-    ring = a.ring
-    out = {}
-    for k1, v1 in a.terms.items():
-        for k2, v2 in b.terms.items():
-            key = free_reduce(Word(a.alphabet, k1 + k2)).letters
-            out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
-    return FreeGroupRingElement(ring, a.alphabet, out)
-
-
-def augment(el):
-    """Sum of coefficients: the map sending every group element to 1."""
-    return el.ring.sum(el.terms.values())
-
-
-def fox_derivative(el, gen):
-    """Fox derivative with respect to a generator index, extended linearly.
-
-    On a single word l1...ln it is the sum over positions j with |lj| = gen
-    of +(l1...l_{j-1}) for a positive letter and -(l1...lj) for a negative
-    one; this encodes d(x)=1, d(x^-1)=-x^-1 and d(uv)=d(u)+u d(v).
-    """
-    ring = el.ring
-    out = {}
-    for key, val in el.terms.items():
-        for j, (g, s) in enumerate(key):
-            if g == gen:
-                prefix, contrib = (key[:j], val) if s == 1 else (key[:j + 1], ring.neg(val))
-                out[prefix] = ring.add(out.get(prefix, ring.zero), contrib)
-    return FreeGroupRingElement(ring, el.alphabet, out)
-
-
-def iterated_fox(w, key, ring):
-    """epsilon applied to the iterated Fox derivative of a word, in the
-    order convention stated at the top of this module."""
-    el = FreeGroupRingElement.from_word(ring, w)
-    for gen in reversed(tuple(key)):
-        el = fox_derivative(el, gen)
-    return augment(el)

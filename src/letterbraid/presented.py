@@ -27,7 +27,8 @@ dropped.
 Pullbacks are the coalgebra map of a homomorphism h: the coefficient of
 h^*(T) at (s1, ..., sk) sums, over the k-fold cuts B1 | ... | Bk of T's
 keys (the iterated reduced coproduct), T's coefficient times the product
-of the coefficients of Bi in M(h(si)).
+of the coefficients of Bi in M(h(si)).  The cuts are summed block by
+block, never listed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 from .magnus import TruncSeries, check_monomial_budget, magnus_expand
 from .rings import annihilator, echelon, elementary_divisors, reduce
-from .tensors import TensorElement, iterated_reduced_coproduct, tensor_product
+from .tensors import TensorElement, tensor_product
 from .words import Alphabet, Word, free_reduce, format_word, parse_word
 
 
@@ -314,9 +315,12 @@ def pullback(h, T, Q_target):
 
     The weight-k coefficient at a source sequence (s1,...,sk) is the
     multi-evaluation of T against h(s1) | ... | h(sk): the sum, over the
-    cuts (B1, ..., Bk) of ``iterated_reduced_coproduct(T, k-1)``, of the
-    cut's coefficient times the coefficients of B1, ..., Bk in
-    M(h(s1)), ..., M(h(sk)).  Satisfies the push-pull identity
+    cuts (B1, ..., Bk) of T's keys into k blocks, of T's coefficient times
+    the coefficients of B1, ..., Bk in M(h(s1)), ..., M(h(sk)).  So a block
+    B stands for phi(B) = sum_s coeff(B, M(h(s))) (s), and each key's cuts
+    of every length are summed in one pass: row[0] = c and row[j] = sum
+    over i < j of row[i] (x) phi(key[i:j]), O(r^2) tensor products for a
+    key of weight r.  Satisfies the push-pull identity
     <h^*(T), w> = <T, h(w)>.
     """
     ring = T.ring
@@ -325,12 +329,18 @@ def pullback(h, T, Q_target):
     if T.weight >= Q_target.order:
         raise ValueError(f"tensor weight {T.weight} >= truncation order {Q_target.order}")
     images = [magnus_expand(img, T.weight + 1, ring) for img in h.images]
-    result = TensorElement.unit(ring, h.source, T.counit)
-    for k in range(1, T.weight + 1):
-        for blocks, c in iterated_reduced_coproduct(T, k - 1).items():
-            term = TensorElement.unit(ring, h.source, c)
-            for B in blocks:
-                term = tensor_product(term, TensorElement(ring, h.source, {
-                    (s,): m.coefficient(B) for s, m in enumerate(images)}))
-            result = result.add(term)
+    phi = {}
+    result = TensorElement.zero(ring, h.source)
+    for key, c in T.terms.items():
+        row = [TensorElement.unit(ring, h.source, c)]
+        for j in range(1, len(key) + 1):
+            acc = TensorElement.zero(ring, h.source)
+            for i in range(j):
+                block = key[i:j]
+                if block not in phi:
+                    phi[block] = TensorElement(ring, h.source, {
+                        (s,): m.coefficient(block) for s, m in enumerate(images)})
+                acc = acc.add(tensor_product(row[i], phi[block]))
+            row.append(acc)
+        result = result.add(row[-1])
     return result

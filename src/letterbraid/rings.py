@@ -1,9 +1,10 @@
 """Exact coefficient arithmetic over Z, Q and F_p, the sparse linear
-combination (``Combination``) that tensors, truncated series and group-ring
-elements share, and the one sparse elimination kernel everything else
-calls: ``echelon`` (reduced echelon form over a field, row Hermite form over
-ZZ), ``reduce`` (canonical remainder and multipliers against such rows) and
-the Smith divisor chain of Hermite rows.
+combination (``Combination``) that tensors and truncated series share
+(and the group-ring elements of the test oracles), and the one sparse
+elimination kernel everything else calls: ``echelon`` (reduced echelon
+form over a field, row Hermite form over ZZ), ``reduce`` (canonical
+remainder and multipliers against such rows) and the Smith divisor chain
+of Hermite rows.
 
 Scalars are ordinary Python values: ``int`` for integer and prime-field
 coefficients (prime-field residues canonical in ``0..p-1``) and
@@ -246,8 +247,8 @@ class Combination:
     ``terms`` maps keys (tuples) to nonzero ring values.  Instances are
     treated as immutable.
 
-    Tensors, truncated series and group-ring elements all are such
-    combinations; each subclass adds only what differs: which keys it
+    Tensors and truncated series are such combinations, as are the
+    group-ring elements of the test oracles; each subclass adds only what differs: which keys it
     allows (``_key``), any further shape such as a truncation order
     (``_shape``, ``_new``) and its own products.  Operands must have the
     same shape, kind included, and so must elements that compare equal.

@@ -4,21 +4,65 @@ the production kernels they check.
 * ``ring_iterated_sum``: the chain-sum dynamic programme one ring method
   call per cell, as ``braiding.iterated_sum`` once ran it;
 * ``ring_number``: ell_T(w) as a sum of those, term by term;
-* ``recursive_weight_reduce``: weight reduction by the plain pivot
-  recursion, up to 2^(r-1) cups for r forms, each cup one ring call per
-  cell;
+* the circle model (``CircleWord``, ``CircleForm``, ``pullback_to_circle``,
+  ``cobound``, ...) and ``recursive_weight_reduce``: weight reduction by
+  the plain pivot recursion, up to 2^(r-1) cups for r forms, each cup one
+  ring call per cell; ``circle_polynomial`` sums it over the terms of a
+  tensor;
 * ``inclusion_exclusion_multi_evaluation``: <T, (w1 - 1)...(wm - 1)> as a
   signed sum over the nonempty subsets of the words, each product word
   concatenated;
+* ``cut_pullback``: h^*(T) with every cut of the iterated reduced
+  coproduct listed;
+* the free group ring and Fox calculus, and ``trunc_mul``, the truncated
+  product of series;
 * ``all_power_dims``: the shapes of A[G]/I^k for every k, with no stop at
   stabilisation.
+
+Circle model conventions
+------------------------
+A word of length n subdivides a circle into n+1 segments indexed 0..n with
+vertices [n]* = {0,...,n} taken mod n+1.  Segment 0 is the *standard
+segment*: it carries no letter and is always oriented forward, from vertex
+0 to vertex 1.  Segment i >= 1 carries letter i; a positive letter runs
+from vertex i to i+1 (mod n+1), a negative letter the other way.  So the
+boundary vertices of segment i are
+
+    positive:  start i,     end i+1 (mod n+1)
+    negative:  start i+1,   end i.
+
+Degree-0 and degree-1 cochains are both functions on {0..n}; the
+differential is (df)_i = s_i * (f_{end} - f_{start}) written against the
+orientation form dx with (dx)_i = s_i for i >= 1 and 0 on the standard
+segment.  Every 1-form decomposes uniquely as f dx - a0 * delta0 where
+delta0 is the indicator of the standard segment; delta0 is the class
+called t, and braiding polynomials live in A[t].
+
+Pulling a generator functional alpha back along the word gives the
+function f(i) = s_i * alpha(gen_i): inverse letters pick up a sign.
+
+Weight reduction uses the rightmost non-t factor as its pivot.  One
+reduction step replaces the tensor (... | g | f dx | t^d) by
+
+    (integral of f dx) * (... | g | t^{d+1})  -  (... | g', t^d)
+
+where g' = g cup d^{-1}(f dx) is the cup of the left neighbour with the
+cobounding function d^{-1}(f dx)_j = -(f(j) + ... + f(n)); trailing t
+factors are inert (reducing T|t^d gives reduce(T) * t^d), and the cup of
+the cobounding function with a following t vanishes.
+
+Fox calculus order convention: the value attached to a key (i1, ..., ik)
+applies the derivative for ik first (innermost) and i1 last, then
+augments.  This matches the coefficient of X_{i1}...X_{ik} in the Magnus
+expansion.
 """
 
-from letterbraid.braiding import CircleForm
 from letterbraid.finite import _convolve
-from letterbraid.rings import echelon, elementary_divisors
-from letterbraid.tensors import BraidPolynomial, Functional
-from letterbraid.words import concat
+from letterbraid.magnus import TruncSeries, magnus_expand
+from letterbraid.rings import Combination, echelon, elementary_divisors
+from letterbraid.tensors import (BraidPolynomial, Functional, TensorElement,
+                                 iterated_reduced_coproduct, tensor_product)
+from letterbraid.words import Word, concat, free_reduce
 
 
 def ring_iterated_sum(alphas, w, ring):
@@ -69,6 +113,82 @@ def ring_number(T, w):
         if key:
             total = ring.add(total, ring.mul(c, ring_block(T, key, w)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# the circle model and weight reduction
+
+class CircleWord:
+    """The subdivided circle of a word: letter signs plus boundary maps."""
+
+    def __init__(self, word):
+        self.word = word
+        self.n = len(word.letters)
+        gens, signs = tuple(zip(*word.letters)) or ((), ())
+        self.signs = (1,) + signs
+        self.gens = (None,) + gens
+
+    def start(self, i):
+        if self.signs[i] == 1:
+            return i
+        return (i + 1) % (self.n + 1)
+
+    def end(self, i):
+        if self.signs[i] == 1:
+            return (i + 1) % (self.n + 1)
+        return i
+
+
+class CircleForm:
+    """A 1-cochain on the circle, stored in decomposed form f dx - delta0
+    coefficient; ``f`` has length n+1 with the index-0 slot unused."""
+
+    def __init__(self, ring, f, delta0=None):
+        self.ring = ring
+        f = [ring.normalize(x) for x in f]
+        f[0] = ring.zero
+        self.f = tuple(f)
+        self.delta0 = ring.zero if delta0 is None else ring.normalize(delta0)
+
+    def __repr__(self):
+        return f"CircleForm(f={self.f}, delta0={self.delta0!r})"
+
+
+def pullback_to_circle(alpha, w, ring):
+    """Pull a generator functional back to the circle of a word: f(i) =
+    sign(letter i) * alpha(gen of letter i), and no delta0 part."""
+    if isinstance(alpha, Functional) and alpha.alphabet != w.alphabet:
+        raise ValueError("alphabet mismatch")
+    return CircleForm(ring, [ring.zero] + [alpha.coeffs[g] if s == 1 else ring.neg(alpha.coeffs[g])
+                                           for g, s in w.letters])
+
+
+def circle_integral(form):
+    """Sum of f over the letter segments: the integral of f dx."""
+    return form.ring.sum(form.f[1:])
+
+
+def cobound(form):
+    """The cobounding function g with d(g) = f dx - (integral) * delta0:
+    g(j) = -(f(j) + ... + f(n)) for j >= 1 and g(0) = 0.  Raises if the
+    form has a delta0 part."""
+    ring = form.ring
+    if form.delta0 != ring.zero:
+        raise ValueError("cobound needs a pure f dx form (zero delta0 part)")
+    n = len(form.f) - 1
+    g = [ring.zero] * (n + 1)
+    acc = ring.zero
+    for j in range(n, 0, -1):
+        acc = ring.add(acc, form.f[j])
+        g[j] = ring.neg(acc)
+    return tuple(g)
+
+
+def apply_differential(g, circle, ring):
+    """d of a 0-cochain, as raw 1-cochain values: (dg) on a segment is
+    g(end) - g(start); the letter orientation decides which vertex is which."""
+    return tuple(ring.sub(g[circle.end(i)], g[circle.start(i)])
+                 for i in range(circle.n + 1))
 
 
 def _ring_cup(left_f, right_f, circle, ring):
@@ -125,6 +245,17 @@ def recursive_weight_reduce(factors, circle, ring):
     return BraidPolynomial(ring, [poly.get(k, zero) for k in range(degree + 1)])
 
 
+def circle_polynomial(T, w):
+    """L_T(w) on the circle: each term's pulled-back forms reduced by
+    ``recursive_weight_reduce``, scaled and summed."""
+    ring, circle = T.ring, CircleWord(w)
+    poly = BraidPolynomial(ring)
+    for key, c in T.terms.items():
+        forms = [pullback_to_circle(alpha, w, ring) for alpha in T.functionals(key)]
+        poly = poly.add(recursive_weight_reduce(forms, circle, ring).scale(c))
+    return poly
+
+
 def inclusion_exclusion_multi_evaluation(T, words):
     """ell_T(w0 | ... | wn) = sum over nonempty subsets S of the words of
     (-1)^(n+1-|S|) ell_T(product of S): 2^(n+1) - 1 evaluations."""
@@ -143,6 +274,106 @@ def inclusion_exclusion_multi_evaluation(T, words):
             val = ring.neg(val)
         total = ring.add(total, val)
     return total
+
+
+def cut_pullback(h, T):
+    """h^*(T) with every cut listed: the weight-k coefficient at (s1, ..., sk)
+    sums, over the cuts (B1, ..., Bk) of ``iterated_reduced_coproduct(T,
+    k-1)``, the cut's coefficient times the coefficients of B1, ..., Bk in
+    M(h(s1)), ..., M(h(sk))."""
+    ring = T.ring
+    images = [magnus_expand(img, T.weight + 1, ring) for img in h.images]
+    result = TensorElement.unit(ring, h.source, T.counit)
+    for k in range(1, T.weight + 1):
+        for blocks, c in iterated_reduced_coproduct(T, k - 1).items():
+            term = TensorElement.unit(ring, h.source, c)
+            for B in blocks:
+                term = tensor_product(term, TensorElement(ring, h.source, {
+                    (s,): m.coefficient(B) for s, m in enumerate(images)}))
+            result = result.add(term)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# the free group ring, Fox calculus and the truncated series product
+
+class FreeGroupRingElement(Combination):
+    """Finite A-linear combination of freely reduced words, keyed by the
+    reduced (gen, sign) letter tuples."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_word(cls, ring, w, coeff=None):
+        red = free_reduce(w)
+        c = ring.one if coeff is None else coeff
+        return cls(ring, w.alphabet, {red.letters: c})
+
+    @classmethod
+    def one(cls, ring, alphabet):
+        return cls(ring, alphabet, {(): ring.one})
+
+    def words(self):
+        return [(Word(self.alphabet, key), val) for key, val in self.terms.items()]
+
+
+def group_ring_mul(a, b):
+    """Convolution product; keys get freely reduced."""
+    a._check(b)
+    ring = a.ring
+    out = {}
+    for k1, v1 in a.terms.items():
+        for k2, v2 in b.terms.items():
+            key = free_reduce(Word(a.alphabet, k1 + k2)).letters
+            out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
+    return FreeGroupRingElement(ring, a.alphabet, out)
+
+
+def augment(el):
+    """Sum of coefficients: the map sending every group element to 1."""
+    return el.ring.sum(el.terms.values())
+
+
+def fox_derivative(el, gen):
+    """Fox derivative with respect to a generator index, extended linearly.
+
+    On a single word l1...ln it is the sum over positions j with |lj| = gen
+    of +(l1...l_{j-1}) for a positive letter and -(l1...lj) for a negative
+    one; this encodes d(x)=1, d(x^-1)=-x^-1 and d(uv)=d(u)+u d(v).
+    """
+    ring = el.ring
+    out = {}
+    for key, val in el.terms.items():
+        for j, (g, s) in enumerate(key):
+            if g == gen:
+                prefix, contrib = (key[:j], val) if s == 1 else (key[:j + 1], ring.neg(val))
+                out[prefix] = ring.add(out.get(prefix, ring.zero), contrib)
+    return FreeGroupRingElement(ring, el.alphabet, out)
+
+
+def iterated_fox(w, key, ring):
+    """epsilon applied to the iterated Fox derivative of a word, in the
+    order convention stated at the top of this module."""
+    el = FreeGroupRingElement.from_word(ring, w)
+    for gen in reversed(tuple(key)):
+        el = fox_derivative(el, gen)
+    return augment(el)
+
+
+def trunc_mul(a, b):
+    """Concatenation product of truncated series, truncated at the common
+    order."""
+    a._check(b)
+    ring = a.ring
+    order = a.order
+    out = {}
+    for k1, v1 in a.terms.items():
+        room = order - len(k1)
+        for k2, v2 in b.terms.items():
+            if len(k2) < room:
+                key = k1 + k2
+                out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
+    return TruncSeries(ring, a.alphabet, order, out)
 
 
 def all_power_dims(table, ring, N):

@@ -12,14 +12,11 @@ import random
 from contextlib import contextmanager
 
 import letterbraid as lb
-from letterbraid.braiding import (CircleWord, braiding_number,
-                                  braiding_polynomial, iterated_sum,
-                                  multi_evaluation, product_check,
-                                  pullback_to_circle, weight_reduce)
+from letterbraid.braiding import (braiding_number, braiding_polynomial,
+                                  iterated_sum, multi_evaluation, product_check)
 from letterbraid.finite import heisenberg_table, ideal_power_dims
 from letterbraid.johnson import johnson_level, johnson_tau, parse_endo
-from letterbraid.magnus import (FreeGroupRingElement, augment, fox_derivative,
-                                group_ring_mul, magnus_expand)
+from letterbraid.magnus import magnus_expand
 from letterbraid.presented import (build_truncated_quotient, dimension_depth,
                                    invariants_basis, is_invariant, pair,
                                    parse_presentation)
@@ -29,6 +26,8 @@ from letterbraid.words import Word, compose, parse_word
 
 from conftest import (XY, all_keys, cyclic_presentation, free_presentation,
                       nested_commutator, random_tensor, random_word, span_rank)
+from oracles import (CircleWord, FreeGroupRingElement, augment, fox_derivative,
+                     group_ring_mul, pullback_to_circle, recursive_weight_reduce)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -73,8 +72,8 @@ def test_criterion_01_four_way_oracle_equivalence():
                     level = nxt
                 for k in keys:
                     v1 = iterated_sum(funcs[k], w, ring)
-                    v2 = weight_reduce([forms[g] for g in k], circle,
-                                       ring).linear_coefficient
+                    v2 = recursive_weight_reduce([forms[g] for g in k], circle,
+                                                 ring).linear_coefficient
                     v3 = series.coefficient(k)
                     v4 = fox[k]
                     assert v1 == v2 == v3 == v4, (combo, k, v1, v2, v3, v4)

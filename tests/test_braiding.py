@@ -1,26 +1,22 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import letterbraid as lb
-from letterbraid import braiding
-from letterbraid.braiding import (CircleWord, apply_differential,
-                                  braiding_number, braiding_polynomial,
-                                  circle_integral, cobound, iterated_sum,
-                                  multi_evaluation, product_check,
-                                  pullback_to_circle, weight_reduce)
-from letterbraid.magnus import iterated_fox, magnus_expand
+from letterbraid.braiding import (braiding_number, braiding_polynomial,
+                                  iterated_sum, multi_evaluation, product_check)
+from letterbraid.magnus import magnus_expand
 from letterbraid.rings import QQ, ZZ, PrimeField
-from letterbraid.tensors import (BraidPolynomial, TensorElement, dual_functional,
+from letterbraid.tensors import (TensorElement, dual_functional,
                                  iterated_reduced_coproduct, parse_tensor)
 from letterbraid.words import Word, parse_word
 
 from conftest import (XY, XYZ, all_keys, merge_keys, nested_commutator, random_tensor,
                       random_word)
+from oracles import (CircleForm, CircleWord, FreeGroupRingElement,
+                     apply_differential, circle_integral, cobound,
+                     group_ring_mul, iterated_fox, pullback_to_circle,
+                     recursive_weight_reduce)
 
 X = dual_functional(XY, ZZ, 0)
 Y = dual_functional(XY, ZZ, 1)
@@ -49,7 +45,6 @@ def test_pullback_on_inverse_letter():
 
 
 def test_cobound_of_indicator():
-    from letterbraid.braiding import CircleForm
     form = CircleForm(ZZ, [0, 1, 0])
     assert cobound(form) == (0, -1, 0)
     assert cobound(CircleForm(ZZ, [0, 0, 0])) == (0, 0, 0)
@@ -75,31 +70,30 @@ def test_weight_reduce_intro_example():
     w = lb.free_reduce(INTRO)
     circle = CircleWord(w)
     factors = [pullback_to_circle(a, w, ZZ) for a in (X, X, Y, X)]
-    poly = weight_reduce(factors, circle, ZZ)
+    poly = recursive_weight_reduce(factors, circle, ZZ)
     assert poly.coeffs == (0, -1)
 
 
 def test_weight_reduce_single_generator():
     w = parse_word("x", XY)
-    poly = weight_reduce([pullback_to_circle(X, w, ZZ)], CircleWord(w), ZZ)
+    poly = recursive_weight_reduce([pullback_to_circle(X, w, ZZ)], CircleWord(w), ZZ)
     assert poly.coeffs == (0, 1)
 
 
 def test_weight_reduce_empty_tensor_is_unit():
     w = parse_word("x y", XY)
-    assert weight_reduce([], CircleWord(w), ZZ).coeffs == (1,)
+    assert recursive_weight_reduce([], CircleWord(w), ZZ).coeffs == (1,)
 
 
 def test_weight_reduce_splits_general_forms():
     # A factor with a delta0 part must agree with the linear combination.
-    from letterbraid.braiding import CircleForm
     w = parse_word("x y x", XY)
     circle = CircleWord(w)
     fpart = pullback_to_circle(X, w, ZZ)
     mixed = CircleForm(ZZ, fpart.f, delta0=2)
-    got = weight_reduce([mixed, pullback_to_circle(Y, w, ZZ)], circle, ZZ)
-    pure = weight_reduce([fpart, pullback_to_circle(Y, w, ZZ)], circle, ZZ)
-    tpart = weight_reduce([None, pullback_to_circle(Y, w, ZZ)], circle, ZZ)
+    got = recursive_weight_reduce([mixed, pullback_to_circle(Y, w, ZZ)], circle, ZZ)
+    pure = recursive_weight_reduce([fpart, pullback_to_circle(Y, w, ZZ)], circle, ZZ)
+    tpart = recursive_weight_reduce([None, pullback_to_circle(Y, w, ZZ)], circle, ZZ)
     assert got == pure.add(tpart.scale(-2))
 
 
@@ -152,7 +146,6 @@ def test_multi_evaluation_examples():
 
 def test_multi_evaluation_matches_group_ring_pairing():
     # <T, (w0-1)...(wn-1)> through the literal free group ring.
-    from letterbraid.magnus import FreeGroupRingElement, group_ring_mul
     rng = random.Random(30)
     for _ in range(60):
         elem = random_tensor(rng, XY, ZZ, max_weight=3)
@@ -200,7 +193,7 @@ def test_four_way_agreement_sampled():
         for key in rng.sample(keys, 6):
             funcs = [dual_functional(XY, ZZ, g) for g in key]
             v1 = iterated_sum(funcs, w, ZZ)
-            v2 = weight_reduce([pullback_to_circle(a, w, ZZ) for a in funcs],
+            v2 = recursive_weight_reduce([pullback_to_circle(a, w, ZZ) for a in funcs],
                                circle, ZZ).linear_coefficient
             v3 = series.coefficient(key)
             v4 = iterated_fox(w, key, ZZ)
@@ -352,43 +345,3 @@ def test_plain_shuffle_law_fails():
         assert (lhs, rhs) == (m_lhs, m_rhs)
         failures += lhs != rhs
     assert failures > 0
-
-
-def test_cross_check_catches_a_wrong_weight_reduction(monkeypatch):
-    T = tens("x|x|y|x + y|x")
-    good = braiding_polynomial(T, INTRO)
-    real = braiding.weight_reduce
-    bump = BraidPolynomial(ZZ, [0, 1])
-    monkeypatch.setattr(braiding, "weight_reduce", lambda *args: real(*args).add(bump))
-    monkeypatch.setattr(braiding, "CROSS_CHECK", False)
-    assert braiding_polynomial(T, INTRO) != good
-    monkeypatch.setattr(braiding, "CROSS_CHECK", True)
-    with pytest.raises(AssertionError, match="reconstruction"):
-        braiding_polynomial(T, INTRO)
-
-
-PERTURBED_UNDER_O = """
-import letterbraid as lb
-from letterbraid import braiding
-ab = lb.Alphabet(["x", "y"])
-T = lb.parse_tensor("x|y", ab, lb.ZZ)
-w = lb.parse_word("[x, y]", ab)
-real = braiding.weight_reduce
-braiding.weight_reduce = lambda *args: real(*args).scale(2)
-print(braiding.CROSS_CHECK, braiding.braiding_polynomial(T, w).coeffs)
-braiding.CROSS_CHECK = True
-braiding.braiding_polynomial(T, w)
-"""
-
-
-def test_cross_check_still_checks_under_optimize():
-    # The default follows __debug__, but a check switched on must not be
-    # an assert that python -O strips.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_UNDER_O],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.stdout.startswith("False ")
-    assert proc.returncode == 1
-    assert "AssertionError: weight reduction disagrees" in proc.stderr

@@ -29,6 +29,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def subprocess_env():
+    """The environment for a child Python that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def check_schema(name, doc):
     with open(SCHEMA_DIR / f"{name}.json") as fh:
         schema = json.load(fh)
@@ -220,16 +227,39 @@ def test_oracle_refuses_a_huge_order_at_once(tmp_path, ring):
     # entries; over Z they need not settle.  Both are refused up front.
     table = tmp_path / "heis.json"
     table.write_text(json.dumps(heisenberg_table(2).to_json()))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     started = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "letterbraid.cli", "oracle", "--table", str(table),
          "--ring", ring, "--order", "1000000000"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert time.monotonic() - started < 1.0
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "lb: order 1000000000 is above the budget of 10000 ideal powers\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["braid", "--gens", "x y", "--tensor", "|".join(["x", "y", "y", "x"] * 10),
+     "--word", "[x*y, x^-2] y x^-1 x^-1 y^3", "--ring", "z"],
+    ["pullback", "--gens", "x", "--endo", "x -> x^2", "--tensor", "|".join(["x"] * 24),
+     "--ring", "z"],
+], ids=["braid-weight-40", "pullback-weight-24"])
+def test_long_tensors_are_answered_without_listing_cuts(argv):
+    # A weight-r key has 2^(r-1) cuts: a route that lists them does not
+    # finish within the timeout.
+    proc = subprocess.run([sys.executable, "-m", "letterbraid.cli", *argv],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    code = ("import sys, letterbraid, letterbraid.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert not loaded & {"oracles", "sympy", "hypothesis", "jsonschema", "pytest"}
 
 
 @pytest.mark.parametrize("missing", ["size", "mul", "gens"])
@@ -279,12 +309,10 @@ def test_johnson_domain_failures_exit_one(capsys, tmp_path):
 def test_johnson_warning_is_one_line_without_a_source_path(tmp_path):
     pres = tmp_path / "heis.pres"
     pres.write_text(HEIS)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "letterbraid.cli", "johnson", "--presentation", str(pres),
          "--endo", "x -> x, y -> y, z -> z [x,y]", "--ring", "fp:2", "--weight", "1"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
         "lb: warning: endomorphism does not kill relator 'x y x^-1 y^-1 z^-1' "

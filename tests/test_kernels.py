@@ -3,26 +3,24 @@ routes in ``oracles``: seeded inputs over Z, Q, F_2, F_3 and F_7, with
 empty, all-inverse and unreduced words and keys that repeat generators."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from letterbraid import braiding
-from letterbraid.braiding import (CircleForm, CircleWord, _blocks,
-                                  _chain_values, _Letters, _prefixes,
-                                  _suffixes, braiding_number,
+from letterbraid.braiding import (_blocks, _chain_values, _Letters,
+                                  _prefixes, _suffixes, braiding_number,
                                   braiding_polynomial, iterated_sum,
-                                  multi_evaluation, product_check,
-                                  pullback_to_circle, weight_reduce)
+                                  multi_evaluation, product_check)
 from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.tensors import (Functional, TensorElement, dual_functional,
                                  iterated_reduced_coproduct, reduced_coproduct)
 from letterbraid.words import Word, concat
 
 from conftest import XY, XYZ
-from oracles import (inclusion_exclusion_multi_evaluation,
-                     recursive_weight_reduce, ring_block, ring_iterated_sum,
-                     ring_number)
+from oracles import (circle_polynomial, inclusion_exclusion_multi_evaluation,
+                     ring_block, ring_iterated_sum, ring_number)
 
 RINGS = [ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
 
@@ -110,6 +108,10 @@ def test_numbers_and_polynomials_match_the_oracles(ring):
             want.pop()
         assert len(poly.coeffs) == len(want)
         assert all(same(a, b) for a, b in zip(poly.coeffs, want)), (T, w)
+        # the circle model: weight reduction of each term's pulled-back forms
+        circle = circle_polynomial(T, w)
+        assert len(circle.coeffs) == len(want)
+        assert all(same(a, b) for a, b in zip(circle.coeffs, want)), (T, w)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
@@ -153,45 +155,6 @@ def test_multi_evaluation_matches_inclusion_exclusion(ring):
                     inclusion_exclusion_multi_evaluation(T, words)), (T, words)
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=repr)
-def test_weight_reduce_matches_the_plain_recursion(ring):
-    # forms with delta0 parts and t factors anywhere, as well as pure forms
-    rng = random.Random(67)
-    for _ in range(60):
-        w = rng.choice(list(sample_words(rng, XY)))
-        factors = []
-        for _ in range(rng.randint(0, 6)):
-            if rng.random() < 0.25:
-                factors.append(None)
-                continue
-            delta0 = scalar(rng, ring) if rng.random() < 0.3 else None
-            factors.append(CircleForm(ring, [scalar(rng, ring) for _ in range(len(w) + 1)],
-                                      delta0))
-        circle = CircleWord(w)
-        got = weight_reduce(factors, circle, ring)
-        want = recursive_weight_reduce(factors, circle, ring)
-        assert len(got.coeffs) == len(want.coeffs)
-        assert all(same(a, b) for a, b in zip(got.coeffs, want.coeffs)), (w, factors)
-
-
-def test_weight_reduce_merges_each_block_once(monkeypatch):
-    rng = random.Random(65)
-    w = Word(XY, [(rng.randrange(2), rng.choice((1, -1))) for _ in range(30)])
-    key = (0, 1, 1, 0, 1, 0, 0, 1)
-    real, calls = braiding._cup_with_cobound, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(braiding, "_cup_with_cobound", counted)
-    forms = [pullback_to_circle(dual_functional(XY, ZZ, g), w, ZZ) for g in key]
-    poly = weight_reduce(forms, CircleWord(w), ZZ)
-    assert len(calls) <= 8 * 7 // 2  # the plain recursion makes up to 2^7 - 1
-    T = TensorElement.from_key(ZZ, XY, key)
-    assert poly.linear_coefficient == ring_block(T, key, w)
-
-
 def test_multi_evaluation_above_the_weight_is_zero_at_once(monkeypatch):
     rng = random.Random(66)
     words = [Word(XY, [(rng.randrange(2), rng.choice((1, -1))) for _ in range(40)])
@@ -207,3 +170,20 @@ def test_multi_evaluation_above_the_weight_is_zero_at_once(monkeypatch):
         T = T.add(TensorElement.from_key(ring, XY, (0, 1, 0, 1)))
         assert T.weight == 4
         assert same(multi_evaluation(T, words), ring.zero)
+
+
+def test_multi_evaluation_of_a_long_key_sums_its_cuts_without_listing_them():
+    # A weight-24 key over 12 words has C(23, 11) = 1,352,078 cuts; the cut
+    # steps never list them.  On x^-1 every block x^k is worth (-1)^k, so
+    # each cut of x^24 adds (-1)^24 and the value is the number of cuts.
+    rng = random.Random(68)
+    random_words = [Word(XY, [(rng.randrange(2), rng.choice((1, -1))) for _ in range(6)])
+                    for _ in range(12)]
+    random_key = tuple(rng.randrange(2) for _ in range(24))
+    start = time.perf_counter()
+    for ring in (ZZ, QQ, PrimeField(3)):
+        x24 = TensorElement.from_key(ring, XY, (0,) * 24)
+        assert same(multi_evaluation(x24, [Word(XY, [(0, -1)])] * 12),
+                    ring.from_int(1352078))
+        multi_evaluation(TensorElement.from_key(ring, XY, random_key), random_words)
+    assert time.perf_counter() - start < 2.0

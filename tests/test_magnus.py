@@ -3,13 +3,13 @@ import random
 import pytest
 
 import letterbraid as lb
-from letterbraid.magnus import (FreeGroupRingElement, TruncSeries, augment,
-                                fox_derivative, group_ring_mul, iterated_fox,
-                                magnus_expand, series_to_json, trunc_mul)
+from letterbraid.magnus import TruncSeries, magnus_expand, series_to_json
 from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.words import Alphabet, Word, parse_word
 
 from conftest import XY, all_keys, random_word
+from oracles import (FreeGroupRingElement, augment, fox_derivative, group_ring_mul,
+                     iterated_fox, trunc_mul)
 
 
 def test_trunc_mul_geometric_inverse():

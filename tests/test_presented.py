@@ -11,7 +11,7 @@ from letterbraid.presented import (Presentation,
                                    invariants_basis, is_invariant,
                                    monomials_below, pair, parse_presentation,
                                    pullback)
-from letterbraid.magnus import TruncSeries, magnus_expand, trunc_mul
+from letterbraid.magnus import TruncSeries, magnus_expand
 from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.tensors import (TensorElement, parse_tensor,
                                  reduced_coproduct)
@@ -20,6 +20,7 @@ from letterbraid.words import Alphabet, GroupHom, Word, parse_word
 from conftest import (XY, XYZ, cyclic_presentation, free_presentation, in_span,
                       merge_keys, nested_commutator, random_tensor, random_word,
                       sparse)
+from oracles import cut_pullback, trunc_mul
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -296,6 +297,30 @@ def test_pullback_matches_its_definition():
                 if trial % 5 == 3:  # counit only
                     T = TensorElement.unit(ring, target, ring.from_int(rng.randint(-3, 3)))
                 assert pullback(h, T, Q) == pullback_by_definition(h, T), (ring, h, T)
+
+
+def test_pullback_matches_the_cut_enumeration():
+    # Weights up to 6, keys that repeat generators, empty and unreduced
+    # images and unit parts, against the route that lists every cut.
+    rng = random.Random(55)
+    sources = [Alphabet(["s"]), Alphabet(["s", "t"]), Alphabet(["s", "t", "u"])]
+    for ring in (ZZ, QQ, F2, F3):
+        for target in (XY, XYZ):
+            Q = build_truncated_quotient(Presentation.free(target), 7, ring)
+            for trial in range(20):
+                source = rng.choice(sources)
+                images = {}
+                for name in source.names:
+                    w = random_word(rng, target, 3)
+                    if trial % 4 == 1:
+                        w = Word.identity(target)
+                    elif trial % 4 == 2:  # unreduced: g g^-1 inside
+                        g, cut = rng.randrange(len(target)), rng.randint(0, len(w))
+                        w = Word(target, w.letters[:cut] + ((g, 1), (g, -1)) + w.letters[cut:])
+                    images[name] = w
+                h = GroupHom.from_mapping(source, images, target=target)
+                T = random_tensor(rng, target, ring, max_weight=6)
+                assert pullback(h, T, Q) == cut_pullback(h, T), (ring, h, T)
 
 
 def test_pullback_weight_overflow_errors():

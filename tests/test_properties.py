@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from letterbraid.cli import main
 from letterbraid.finite import heisenberg_table
-from letterbraid.magnus import FreeGroupRingElement, TruncSeries
+from letterbraid.magnus import TruncSeries
 from letterbraid.rings import QQ, ZZ, PrimeField
 from letterbraid.tensors import TensorElement, format_tensor, parse_tensor
 from letterbraid.words import Letter, Word, format_word, parse_word
 
 from conftest import XY
+from oracles import FreeGroupRingElement
 
 RINGS = [ZZ, QQ, PrimeField(2), PrimeField(3)]
 ORDER = 4
