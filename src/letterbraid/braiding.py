@@ -31,8 +31,8 @@ For a word of length n and a pure tensor of weight r, all in native
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate, compress
-from typing import NamedTuple
 
 from .tensors import BraidPolynomial, Functional
 
@@ -268,12 +268,12 @@ def multi_evaluation(T, words):
     return ring.normalize(total)
 
 
-class ProductCheck(NamedTuple):
-    """Both sides of the product law, for the test harness."""
+class ProductCheck(namedtuple("ProductCheck", "product_value additive_part coproduct_part")):
+    """Both sides of the product law, for the test harness: ell_T(w1 w2),
+    ell_T(w1) + ell_T(w2), and the sum of ell_{T1}(w1) ell_{T2}(w2) over the
+    reduced coproduct of T."""
 
-    product_value: object   # ell_T(w1 w2)
-    additive_part: object   # ell_T(w1) + ell_T(w2)
-    coproduct_part: object  # sum of ell_{T1}(w1) ell_{T2}(w2) over the reduced coproduct
+    __slots__ = ()
 
 
 def product_check(T, w1, w2):

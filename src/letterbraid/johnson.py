@@ -19,7 +19,7 @@ reported as a warning when violated.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .magnus import TruncSeries, magnus_expand
 from .presented import (DepthReport, build_truncated_quotient, invariants_basis,
@@ -66,17 +66,12 @@ def _level(vals, order):
     return DepthReport(min(vals) - 1)
 
 
-@dataclass
-class JohnsonReport:
+class JohnsonReport(namedtuple("JohnsonReport",
+                                "level stage row_labels col_labels matrix ring")):
     """tau at a fixed stage: rows are weight-(k+1) basis invariants (their
     classes modulo lower weight), columns are weight-1 basis invariants."""
 
-    level: DepthReport
-    stage: int
-    row_labels: list
-    col_labels: list
-    matrix: list
-    ring: object
+    __slots__ = ()
 
     def is_zero(self):
         return all(v == self.ring.zero for row in self.matrix for v in row)

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .magnus import TruncSeries, check_monomial_budget, magnus_expand
 from .rings import annihilator, echelon, elementary_divisors, reduce
@@ -44,20 +43,19 @@ from .tensors import TensorElement, tensor_product
 from .words import Alphabet, Word, free_reduce, format_word, parse_word
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Generators and relators (each relator r imposes r = 1)."""
+class Presentation(namedtuple("Presentation", "alphabet relators")):
+    """Generators and relators (each relator r imposes r = 1), kept freely
+    reduced."""
 
-    alphabet: Alphabet
-    relators: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, alphabet, relators=()):
         reduced = []
-        for r in self.relators:
-            if r.alphabet != self.alphabet:
+        for r in relators:
+            if r.alphabet != alphabet:
                 raise ValueError("relator alphabet mismatch")
             reduced.append(free_reduce(r))
-        object.__setattr__(self, "relators", tuple(reduced))
+        return super().__new__(cls, alphabet, tuple(reduced))
 
     @classmethod
     def free(cls, alphabet):
@@ -211,16 +209,13 @@ def pair(Q, T, combo):
     return total
 
 
-@dataclass
-class Witness:
+class Witness(namedtuple("Witness", "left relator_index relator right value")):
     """A failed invariance certificate: a sandwich whose pairing with the
-    tensor is nonzero, equivalently a multi-evaluation containing a relator."""
+    tensor is nonzero, equivalently a multi-evaluation containing a relator.
+    ``left`` and ``right`` are the generator indices of the two monomials,
+    ``value`` the pairing."""
 
-    left: tuple            # generator indices of the left monomial
-    relator_index: int
-    relator: Word
-    right: tuple
-    value: object
+    __slots__ = ()
 
     def multi_evaluation_words(self, alphabet):
         ws = [Word.generator(alphabet, g) for g in self.left]
@@ -243,19 +238,19 @@ def is_invariant(P, T):
     return True, None
 
 
-@dataclass
 class InvariantBasis:
     """Canonical basis of the invariants of weight <= max_weight.  The
     vectors are the annihilator's sparse echelon rows on the quotient's
     monomial indices, one per element."""
 
-    ring: object
-    alphabet: Alphabet
-    max_weight: int
-    elements: list
-    weights: list
-    vectors: list
-    elementary_divisors: object = None
+    __slots__ = ("ring", "alphabet", "max_weight", "elements", "weights", "vectors",
+                 "elementary_divisors")
+
+    def __init__(self, ring, alphabet, max_weight, elements, weights, vectors,
+                 elementary_divisors=None):
+        self.ring, self.alphabet, self.max_weight = ring, alphabet, max_weight
+        self.elements, self.weights, self.vectors = elements, weights, vectors
+        self.elementary_divisors = elementary_divisors
 
     def __len__(self):
         return len(self.elements)
@@ -278,12 +273,11 @@ def invariants_basis(P, order, ring):
                           elementary_divisors=Q.elementary_divisors)
 
 
-class DepthReport(NamedTuple):
+class DepthReport(namedtuple("DepthReport", "value is_lower_bound", defaults=(False,))):
     """A filtration degree (dimension-series depth, Johnson level): the
     exact value, or a lower bound reached at the truncation order."""
 
-    value: int
-    is_lower_bound: bool = False
+    __slots__ = ()
 
     def __str__(self):
         return f">= {self.value}" if self.is_lower_bound else str(self.value)

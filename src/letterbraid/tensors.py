@@ -11,19 +11,18 @@ expanded over the dual basis; the empty key carries the counit value.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .rings import Combination
-from .words import Alphabet, ParseError, _NAME
+from .words import ParseError, _NAME
 
 
-class Functional(NamedTuple):
+class Functional(namedtuple("Functional", "alphabet coeffs")):
     """A vector of coefficients indexed by the generators: an element of
     the dual of the free module on the alphabet.  Evaluation on inverse
     letters is sign-extended by the consumers in ``braiding``."""
 
-    alphabet: Alphabet
-    coeffs: tuple
+    __slots__ = ()
 
 
 def dual_functional(alphabet, ring, gen):

@@ -2,6 +2,12 @@
 operations, and homomorphisms given on generators (``GroupHom``, parsed
 from ``a -> u, b -> v`` by ``parse_hom``) with substitution along them.
 
+Letters are interned: an ``Alphabet`` holds its 2k ``Letter`` objects and
+their inverses, every ``Word`` takes its letters from that table, and
+inversion and substitution are table lookups, so building a word costs
+O(n) dict lookups and no object per letter.  ``parse_word`` reads its text
+in one pass of a compiled token regex.
+
 Words keep whatever letter sequence they were built with; nothing reduces
 implicitly.  ``free_reduce`` is the only place cancellation happens, so
 letter-level algorithms can be exercised on unreduced inputs and invariance
@@ -11,8 +17,8 @@ under reduction stays a testable property.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
+from itertools import chain
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -33,7 +39,7 @@ class Alphabet:
     """Ordered list of distinct generator names.  Order indexes tensor
     coordinates, so it is significant."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_letters", "_inverse")
 
     def __init__(self, names):
         names = tuple(names)
@@ -46,6 +52,9 @@ class Alphabet:
             seen.add(n)
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        # each (gen, sign) maps to its one Letter, and each Letter to its inverse
+        self._letters = {(g, s): Letter(g, s) for g in range(len(names)) for s in (1, -1)}
+        self._inverse = {l: self._letters[l.gen, -l.sign] for l in self._letters.values()}
 
     @classmethod
     def parse(cls, text):
@@ -73,9 +82,8 @@ class Alphabet:
         return f"Alphabet({' '.join(self.names)})"
 
 
-class Letter(NamedTuple):
-    gen: int
-    sign: int
+class Letter(namedtuple("Letter", "gen sign")):
+    __slots__ = ()
 
 
 class Word:
@@ -84,17 +92,24 @@ class Word:
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet, letters=()):
+        """``letters`` is any iterable of (gen, sign) pairs: Letters,
+        tuples or lists, with 0 <= gen < len(alphabet) and sign +1 or -1."""
         self.alphabet = alphabet
-        n = len(alphabet)
-        lets = []
-        for item in letters:
-            g, s = item
-            if not 0 <= g < n:
-                raise ValueError(f"letter index {g} out of range")
-            if s not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {s}")
-            lets.append(Letter(g, s))
-        self.letters = tuple(lets)
+        table = alphabet._letters
+        try:
+            self.letters = tuple([table[g, s] for g, s in letters])
+        except KeyError as exc:
+            g, s = exc.args[0]
+            if s in (1, -1) or not 0 <= g < len(alphabet):
+                raise ValueError(f"letter index {g} out of range") from None
+            raise ValueError(f"letter sign must be +1 or -1, got {s}") from None
+
+    @classmethod
+    def _of(cls, alphabet, letters):
+        """A word on a tuple of letters already taken from the table."""
+        w = object.__new__(cls)
+        w.alphabet, w.letters = alphabet, letters
+        return w
 
     @classmethod
     def identity(cls, alphabet):
@@ -125,22 +140,24 @@ def _check_same_alphabet(u, v):
 
 def free_reduce(w):
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
+    inv = w.alphabet._inverse
     stack = []
     for let in w.letters:
-        if stack and stack[-1].gen == let.gen and stack[-1].sign == -let.sign:
+        if stack and stack[-1] == inv[let]:
             stack.pop()
         else:
             stack.append(let)
-    return Word(w.alphabet, stack)
+    return Word._of(w.alphabet, tuple(stack))
 
 
 def inverse(w):
-    return Word(w.alphabet, [Letter(l.gen, -l.sign) for l in reversed(w.letters)])
+    return Word._of(w.alphabet, tuple(map(w.alphabet._inverse.__getitem__,
+                                          reversed(w.letters))))
 
 
 def concat(u, v):
     _check_same_alphabet(u, v)
-    return Word(u.alphabet, u.letters + v.letters)
+    return Word._of(u.alphabet, u.letters + v.letters)
 
 
 def commutator(u, v):
@@ -150,19 +167,16 @@ def commutator(u, v):
 
 def power(w, k):
     if k >= 0:
-        return Word(w.alphabet, w.letters * k)
-    return Word(w.alphabet, inverse(w).letters * (-k))
+        return Word._of(w.alphabet, w.letters * k)
+    return Word._of(w.alphabet, inverse(w).letters * (-k))
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(namedtuple("GroupHom", "source target images")):
     """A homomorphism of free groups given on generators: one target word
     per source generator, in order.  An endomorphism has source equal to
     target."""
 
-    source: Alphabet
-    target: Alphabet
-    images: tuple
+    __slots__ = ()
 
     @classmethod
     def from_mapping(cls, source, mapping, target=None):
@@ -186,11 +200,12 @@ class GroupHom:
         """The freely reduced image of a word over the source."""
         if w.alphabet != self.source:
             raise ValueError("alphabet mismatch")
-        out = []
-        for gen, sign in w.letters:
-            img = self.images[gen].letters
-            out.extend(img if sign == 1 else [Letter(g, -s) for g, s in reversed(img)])
-        return free_reduce(Word(self.target, out))
+        table = {}
+        for g, img in enumerate(self.images):
+            table[g, 1] = img.letters
+            table[g, -1] = inverse(img).letters
+        out = tuple(chain.from_iterable(map(table.__getitem__, w.letters)))
+        return free_reduce(Word._of(self.target, out))
 
 
 def compose(phi, psi):
@@ -240,105 +255,119 @@ def parse_hom(text, target, source=None):
 # grammar: names, juxtaposition (whitespace or *), ^k powers, [u,v]
 # commutators, parentheses; the empty input is the identity.
 
-def _tokenize_word(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace() or ch == "*":
-            i += 1
-            continue
-        if ch in "()[],":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "^":
-            m = re.match(r"\^(-?\d+)", text[i:])
-            if not m:
-                raise ParseError("malformed exponent", i)
+# One token per match, after any whitespace and '*': a name, an exponent, a
+# bracket or comma, or (group 4) a character no token starts with.  At the
+# end of the text the empty \Z branch matches and no group is set.
+_TOKEN = re.compile(r"[\s*]*(?:([A-Za-z_][A-Za-z0-9_]*)|(\^-?\d+)|([()\[\],])|(.)|\Z)")
+
+
+def _scan(text, alphabet):
+    """The tokens of ``text`` in one pass: the Letter of each known name,
+    the name itself for an unknown one, an int for each exponent, and the
+    character for each bracket or comma."""
+    index, table = alphabet._index, alphabet._letters
+    match = _TOKEN.match
+    tokens, pos = [], 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastindex
+        if kind is None:
+            return tokens
+        tok = m.group(kind)
+        if kind == 1:
+            g = index.get(tok)
+            if g is not None:
+                tok = table[g, 1]
+        elif kind == 2:
             try:
-                k = int(m.group(1))
+                tok = int(tok[1:])
             except ValueError:  # more digits than int() converts
-                raise ParseError(f"exponent of {len(m.group(1).lstrip('-'))} digits is above "
-                                 f"the letter budget of {MAX_WORD_LETTERS}", i) from None
-            tokens.append(("pow", k, i))
-            i += len(m.group(0))
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            tokens.append(("name", m.group(0), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+                digits = len(tok[1:].lstrip("-"))
+                raise ParseError(f"exponent of {digits} digits is above the letter budget "
+                                 f"of {MAX_WORD_LETTERS}", m.start(kind)) from None
+        elif kind == 4:
+            raise ParseError("malformed exponent" if tok == "^"
+                             else f"unexpected character {tok!r}", m.start(kind))
+        tokens.append(tok)
+        pos = m.end()
+
+
+def _position(text, t):
+    """Where token t of ``text`` starts; the end of the text past the last
+    token.  Only errors need positions, so the scan does not keep them."""
+    pos = 0
+    for _ in range(t + 1):
+        m = _TOKEN.match(text, pos)
+        if m.lastindex is None:
+            return len(text)
+        pos = m.end()
+    return m.start(m.lastindex)
 
 
 def parse_word(text, alphabet):
     """Parse the word grammar.  The result is NOT freely reduced."""
-    tokens = _tokenize_word(text)
-    pos = 0
+    tokens = _scan(text, alphabet)
+    inv = alphabet._inverse
+    n, t = len(tokens), 0
 
-    def error(msg, at=None):
-        where = tokens[at][2] if at is not None and at < len(tokens) else len(text)
-        raise ParseError(msg, where)
+    def fail(msg, at):
+        raise ParseError(msg, _position(text, at))
 
-    def check_budget(count, where):
+    def check_budget(count, at):
         if count > MAX_WORD_LETTERS:
-            raise ParseError(f"word needs {count} letters, above the budget "
-                             f"of {MAX_WORD_LETTERS}", where)
+            fail(f"word needs {count} letters, above the budget of {MAX_WORD_LETTERS}", at)
 
-    def parse_product(stop):
-        nonlocal pos
+    def product(stop):
+        nonlocal t
         letters = []
-        while pos < len(tokens) and tokens[pos][0] not in stop:
-            start = tokens[pos][2]
-            letters.extend(parse_item())
+        while t < n:
+            tok, start = tokens[t], t
+            if tok.__class__ is Letter:
+                base = [tok]
+                t += 1
+            elif tok in stop:
+                break
+            else:
+                base = item()
+            if t < n and tokens[t].__class__ is int:
+                k = tokens[t]
+                check_budget(len(base) * abs(k), t)
+                t += 1
+                base = base * k if k >= 0 else [inv[l] for l in reversed(base)] * (-k)
+            letters += base
             check_budget(len(letters), start)
         return letters
 
-    def parse_item():
-        nonlocal pos
-        kind, value, tpos = tokens[pos]
-        if kind == "name":
-            if value not in alphabet._index:
-                raise ParseError(f"unknown generator {value!r}", tpos)
-            base = [Letter(alphabet.index(value), 1)]
-            pos += 1
-        elif kind == "(":
-            pos += 1
-            base = parse_product({")"})
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                error("unbalanced parenthesis", pos)
-            pos += 1
-        elif kind == "[":
-            pos += 1
-            left = parse_product({",", "]"})
-            if pos >= len(tokens) or tokens[pos][0] != ",":
-                error("expected ',' in commutator", pos)
-            pos += 1
-            right = parse_product({"]"})
-            if pos >= len(tokens) or tokens[pos][0] != "]":
-                error("unbalanced bracket", pos)
-            pos += 1
-            check_budget(2 * (len(left) + len(right)), tpos)
-            inv = lambda ls: [Letter(g, -s) for g, s in reversed(ls)]
-            base = left + right + inv(left) + inv(right)
-        elif kind == "pow":
-            raise ParseError("exponent without a base", tpos)
+    def item():
+        nonlocal t
+        tok, at = tokens[t], t
+        t += 1
+        if tok == "(":
+            base = product((")",))
+            if t >= n or tokens[t] != ")":
+                fail("unbalanced parenthesis", t)
+            t += 1
+        elif tok == "[":
+            left = product((",", "]"))
+            if t >= n or tokens[t] != ",":
+                fail("expected ',' in commutator", t)
+            t += 1
+            right = product(("]",))
+            if t >= n or tokens[t] != "]":
+                fail("unbalanced bracket", t)
+            t += 1
+            check_budget(2 * (len(left) + len(right)), at)
+            base = (left + right + [inv[l] for l in reversed(left)]
+                    + [inv[l] for l in reversed(right)])
+        elif tok.__class__ is int:
+            fail("exponent without a base", at)
+        elif tok in "()[],":  # no name is a substring of these
+            fail(f"unexpected {tok!r}", at)
         else:
-            raise ParseError(f"unexpected {kind!r}", tpos)
-        if pos < len(tokens) and tokens[pos][0] == "pow":
-            k = tokens[pos][1]
-            check_budget(len(base) * abs(k), tokens[pos][2])
-            pos += 1
-            if k >= 0:
-                base = base * k
-            else:
-                base = [Letter(g, -s) for g, s in reversed(base)] * (-k)
+            fail(f"unknown generator {tok!r}", at)
         return base
 
-    letters = parse_product(set())
-    return Word(alphabet, letters)
+    return Word._of(alphabet, tuple(product(())))
 
 
 def format_word(w):

@@ -2,6 +2,8 @@
 seeded random generators for words and tensors."""
 
 import itertools
+import os
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,13 @@ from letterbraid.words import Word
 
 XY = lb.Alphabet(["x", "y"])
 XYZ = lb.Alphabet(["x", "y", "z"])
+
+
+def subprocess_env():
+    """The environment for a child Python that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def random_word(rng, alphabet, max_len, min_len=0):

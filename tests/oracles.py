@@ -17,7 +17,10 @@ the production kernels they check.
 * the free group ring and Fox calculus, and ``trunc_mul``, the truncated
   product of series;
 * ``all_power_dims``: the shapes of A[G]/I^k for every k, with no stop at
-  stabilisation.
+  stabilisation;
+* ``reference_parse_word``: the word grammar read by a character-by-character
+  tokenizer into a token list, then by recursive descent, building each
+  letter as a new ``Letter``.
 
 Circle model conventions
 ------------------------
@@ -57,12 +60,15 @@ augments.  This matches the coefficient of X_{i1}...X_{ik} in the Magnus
 expansion.
 """
 
+import re
+
+from letterbraid import words
 from letterbraid.finite import _convolve
 from letterbraid.magnus import TruncSeries, magnus_expand
 from letterbraid.rings import Combination, echelon, elementary_divisors
 from letterbraid.tensors import (BraidPolynomial, Functional, TensorElement,
                                  iterated_reduced_coproduct, tensor_product)
-from letterbraid.words import Word, concat, free_reduce
+from letterbraid.words import _NAME, Letter, ParseError, Word, concat, free_reduce
 
 
 def ring_iterated_sum(alphas, w, ring):
@@ -392,3 +398,106 @@ def all_power_dims(table, ring, N):
         products = [_convolve(ring, table, v, w) for v in power for w in aug_basis]
         power, _ = echelon(ring, products)
     return out
+
+
+def reference_tokenize_word(text):
+    """(kind, value, position) tokens of the word grammar, one character
+    at a time; the budget is read from ``words`` at call time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace() or ch == "*":
+            i += 1
+            continue
+        if ch in "()[],":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch == "^":
+            m = re.match(r"\^(-?\d+)", text[i:])
+            if not m:
+                raise ParseError("malformed exponent", i)
+            try:
+                k = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"exponent of {len(m.group(1).lstrip('-'))} digits is above "
+                                 f"the letter budget of {words.MAX_WORD_LETTERS}", i) from None
+            tokens.append(("pow", k, i))
+            i += len(m.group(0))
+            continue
+        m = _NAME.match(text, i)
+        if m:
+            tokens.append(("name", m.group(0), i))
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def reference_parse_word(text, alphabet):
+    """``words.parse_word`` by recursive descent over the reference tokens."""
+    tokens = reference_tokenize_word(text)
+    pos = 0
+
+    def error(msg, at=None):
+        where = tokens[at][2] if at is not None and at < len(tokens) else len(text)
+        raise ParseError(msg, where)
+
+    def check_budget(count, where):
+        if count > words.MAX_WORD_LETTERS:
+            raise ParseError(f"word needs {count} letters, above the budget "
+                             f"of {words.MAX_WORD_LETTERS}", where)
+
+    def parse_product(stop):
+        nonlocal pos
+        letters = []
+        while pos < len(tokens) and tokens[pos][0] not in stop:
+            start = tokens[pos][2]
+            letters.extend(parse_item())
+            check_budget(len(letters), start)
+        return letters
+
+    def parse_item():
+        nonlocal pos
+        kind, value, tpos = tokens[pos]
+        if kind == "name":
+            if value not in alphabet.names:
+                raise ParseError(f"unknown generator {value!r}", tpos)
+            base = [Letter(alphabet.index(value), 1)]
+            pos += 1
+        elif kind == "(":
+            pos += 1
+            base = parse_product({")"})
+            if pos >= len(tokens) or tokens[pos][0] != ")":
+                error("unbalanced parenthesis", pos)
+            pos += 1
+        elif kind == "[":
+            pos += 1
+            left = parse_product({",", "]"})
+            if pos >= len(tokens) or tokens[pos][0] != ",":
+                error("expected ',' in commutator", pos)
+            pos += 1
+            right = parse_product({"]"})
+            if pos >= len(tokens) or tokens[pos][0] != "]":
+                error("unbalanced bracket", pos)
+            pos += 1
+            check_budget(2 * (len(left) + len(right)), tpos)
+            inv = lambda ls: [Letter(g, -s) for g, s in reversed(ls)]
+            base = left + right + inv(left) + inv(right)
+        elif kind == "pow":
+            raise ParseError("exponent without a base", tpos)
+        else:
+            raise ParseError(f"unexpected {kind!r}", tpos)
+        if pos < len(tokens) and tokens[pos][0] == "pow":
+            k = tokens[pos][1]
+            check_budget(len(base) * abs(k), tokens[pos][2])
+            pos += 1
+            if k >= 0:
+                base = base * k
+            else:
+                base = [Letter(g, -s) for g, s in reversed(base)] * (-k)
+        return base
+
+    letters = parse_product(set())
+    return Word(alphabet, letters)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import time
@@ -15,7 +14,7 @@ from letterbraid.finite import heisenberg_table
 from letterbraid.tensors import parse_tensor, tensor_from_json
 from letterbraid.rings import PrimeField
 
-from conftest import in_span
+from conftest import in_span, subprocess_env
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "letterbraid" / "schemas"
 
@@ -27,13 +26,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def subprocess_env():
-    """The environment for a child Python that imports this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
 
 
 def check_schema(name, doc):
@@ -255,11 +247,17 @@ def test_long_tensors_are_answered_without_listing_cuts(argv):
 def test_the_runtime_imports_only_the_standard_library():
     code = ("import sys, letterbraid, letterbraid.cli; "
             "print(' '.join(sorted(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
-    assert not loaded & {"oracles", "sympy", "hypothesis", "jsonschema", "pytest"}
+
+    def loaded(*flags):
+        proc = subprocess.run([sys.executable, *flags, "-c", code], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return {name.partition(".")[0] for name in proc.stdout.split()}
+
+    assert not loaded() & {"oracles", "sympy", "hypothesis", "jsonschema", "pytest"}
+    # Every lb process pays for its imports; without site, nothing else
+    # would load these.
+    assert not loaded("-S") & {"dataclasses", "typing", "inspect"}
 
 
 @pytest.mark.parametrize("missing", ["size", "mul", "gens"])

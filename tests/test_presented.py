@@ -6,7 +6,7 @@ import pytest
 
 import letterbraid as lb
 from letterbraid.braiding import braiding_number, multi_evaluation
-from letterbraid.presented import (Presentation,
+from letterbraid.presented import (DepthReport, InvariantBasis, Presentation,
                                    build_truncated_quotient, dimension_depth,
                                    invariants_basis, is_invariant,
                                    monomials_below, pair, parse_presentation,
@@ -108,8 +108,41 @@ def test_pair_rejects_overweight_tensors():
         pair(Q, TensorElement.from_key(ZZ, P.alphabet, (0, 0)), parse_word("x", P.alphabet))
 
 
+def test_equal_presentations_share_one_cached_quotient():
+    text = "gens: x y\nrel: x x^-1 [x, y]\n"
+    P1, P2 = parse_presentation(text), parse_presentation(text)
+    assert P1 is not P2 and P1 == P2 and hash(P1) == hash(P2)
+    assert P1.relators == (parse_word("[x, y]", P1.alphabet),)  # freely reduced
+    assert P1 == Presentation(alphabet=P2.alphabet, relators=P2.relators)
+    assert Presentation.free(XY) == Presentation(XY) and Presentation(XY).relators == ()
+    with pytest.raises(ValueError, match="relator alphabet mismatch"):
+        Presentation(XY, (parse_word("x", XYZ),))
+    build_truncated_quotient.cache_clear()
+    Q = build_truncated_quotient(P1, 3, F3)
+    assert build_truncated_quotient(P2, 3, F3) is Q
+    assert build_truncated_quotient.cache_info().hits == 1
+
+
+def test_depth_report_fields_and_formats():
+    exact, bound = DepthReport(3), DepthReport(5, is_lower_bound=True)
+    assert (exact.value, exact.is_lower_bound) == (3, False)
+    assert (str(exact), exact.json_value()) == ("3", 3)
+    assert (str(bound), bound.json_value()) == (">= 5", ">= 5")
+    assert exact.at_least(3) and not exact.at_least(4) and bound.at_least(5)
+    assert exact == DepthReport(3, False) and hash(exact) == hash(DepthReport(3))
+
+
 # ---------------------------------------------------------------------------
 # invariants
+
+def test_invariant_basis_builds_with_keywords():
+    one = TensorElement.unit(ZZ, XY)
+    basis = InvariantBasis(ring=ZZ, alphabet=XY, max_weight=0, elements=[one],
+                           weights=[0], vectors=[{0: 1}])
+    assert len(basis) == 1 and basis.elementary_divisors is None
+    assert (basis.ring, basis.alphabet, basis.max_weight) == (ZZ, XY, 0)
+    assert (basis.elements, basis.weights, basis.vectors) == ([one], [0], [{0: 1}])
+
 
 def test_heisenberg_invariants(heisenberg_presentation):
     P = heisenberg_presentation
