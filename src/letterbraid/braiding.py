@@ -15,16 +15,16 @@ Costs
 For a word of length n and a pure tensor of weight r, all in native
 ``int``/``Fraction`` arithmetic, reduced mod p once per layer over F_p:
 
-* ``iterated_sum`` (general functionals) runs the chain-sum table over all
-  letters, one row per distinct functional: O(n*r);
-* the pure-key routes lay the word out once (``_Letters``; the last
-  layout is kept for the next call on the same word) and walk only the
-  letters of each factor's generator, sharing the layer of every common
-  prefix.  One block costs one O(n) layer, so ``braiding_number``
-  is O(n*r) per term and the block table (every contiguous block of a
-  key, from which ``multi_evaluation`` and ``braiding_polynomial`` read
-  their cuts) O(n*r^2); ``product_check`` walks forward on w1 and
-  backward on w2;
+* every route lays the word out once (``_Letters``; the last layout is
+  kept for the next call on the same word) and walks only the letters
+  where each factor is nonzero, sharing the layer of every common
+  prefix.  A factor is a generator for a key of a tensor, or the
+  coefficient tuple of a functional for ``iterated_sum``, which walks
+  the one key its functionals make.  One block costs one O(n) layer, so
+  ``iterated_sum`` and ``braiding_number`` are O(n*r) per term and the
+  block table (every contiguous block of a key, from which
+  ``multi_evaluation`` and ``braiding_polynomial`` read their cuts)
+  O(n*r^2); ``product_check`` walks forward on w1 and backward on w2;
 * the cut sums take O(r^2) block lookups per step: O(r^3) per key for a
   polynomial, O(m*r^2) for a multi-evaluation of m words.
 """
@@ -38,11 +38,12 @@ from .tensors import BraidPolynomial, Functional
 
 
 class _Letters:
-    """A word laid out for the chain-sum walks of pure keys, shared by every
-    term evaluated on it: where each generator's letters sit and their
-    signs (built once per generator), and for each pair of consecutive
+    """A word laid out for the chain-sum walks, shared by every term
+    evaluated on it: where each factor's letters sit, their signs and
+    values (built once per factor), and for each pair of consecutive
     factors how many letters of the one a chain can step from onto the
-    other."""
+    other.  A factor is a generator index, or the coefficient tuple of a
+    general functional."""
 
     __slots__ = ("gens", "signs", "_where", "_reach")
 
@@ -50,28 +51,35 @@ class _Letters:
         self.gens, self.signs = zip(*letters) if letters else ((), ())
         self._where, self._reach = {}, {}
 
-    def where(self, g):
-        """(positions, before, signs): the letters of generator g, how many
-        of them are among the first i letters for each i, and their signs,
-        which are the values of g's dual functional there."""
-        entry = self._where.get(g)
+    def where(self, factor):
+        """(positions, before, signs, values): the letters where the factor
+        is nonzero, how many of them are among the first i letters for each
+        i, their signs, and the factor's values there: coefficient times
+        sign, which for a generator are the signs themselves."""
+        entry = self._where.get(factor)
         if entry is None:
-            mask = list(map(g.__eq__, self.gens))
-            entry = self._where[g] = (list(compress(range(len(mask)), mask)),
-                                      list(accumulate(mask, initial=0)),
-                                      list(compress(self.signs, mask)))
+            if isinstance(factor, tuple):
+                mask = [factor[g] != 0 for g in self.gens]
+            else:
+                mask = list(map(factor.__eq__, self.gens))
+            positions = list(compress(range(len(mask)), mask))
+            signs = list(compress(self.signs, mask))
+            values = ([factor[self.gens[q]] * s for q, s in zip(positions, signs)]
+                      if isinstance(factor, tuple) else signs)
+            entry = self._where[factor] = (positions, list(accumulate(mask, initial=0)),
+                                           signs, values)
         return entry
 
     def reach(self, prev, g, forward):
-        """For each letter q of g, how many letters of ``prev`` the chain's
-        previous factor (in walk order) may sit at: those before q
-        (backward: after q), and q itself when it is negative, since a
+        """For each letter q of factor g, how many letters of factor ``prev``
+        the chain's previous factor (in walk order) may sit at: those before
+        q (backward: after q), and q itself when it is negative, since a
         negative letter may serve two consecutive factors (the <= rule)."""
         key = (prev, g, forward)
         reach = self._reach.get(key)
         if reach is None:
             before = self.where(prev)[1]
-            positions, _, signs = self.where(g)
+            positions, _, signs, _ = self.where(g)
             if forward:
                 reach = [before[q + (s < 0)] for q, s in zip(positions, signs)]
             else:
@@ -108,7 +116,7 @@ def _chain_values(blocks, letters, ring, forward=True):
     for seq in sorted(blocks if forward else (b[::-1] for b in blocks)):
         while path and path[-1][0] != seq[:-1]:
             path.pop()
-        layer = letters.where(seq[-1])[2]
+        layer = letters.where(seq[-1])[3]
         if path:
             chains = path[-1][1]
             # acc[c]: the sum of the first (backward: last) c chain ends
@@ -139,43 +147,24 @@ def _blocks(keys):
 
 
 def iterated_sum(alphas, w, ring):
-    """Letter-braiding number of a pure tensor by dynamic programming.
+    """Letter-braiding number of a pure tensor of functionals.
 
     Sums the products alpha_1(l_{i1}) ... alpha_r(l_{ir}) over chains
     i1 < i2 < ... of letter positions, where a step out of a negative
     letter is allowed to stay in place (i <= j) while a positive letter
     forces strict increase (i < j).  Letter values are sign-extended.
-    O(n*r) native operations on one row per distinct functional; over F_p
-    each layer is reduced mod p once.
+    This is the chain-sum walk of the key whose factors are the
+    functionals' coefficient tuples: O(n*r).
     """
     if not alphas:
         return ring.one
     for alpha in alphas:
         if isinstance(alpha, Functional) and alpha.alphabet != w.alphabet:
             raise ValueError("alphabet mismatch")
-    letters = w.letters
-    # acc[reach[i]] sums the chain ends before letter i, and at i itself
-    # when it is negative (the <= rule)
-    reach = [i + (s < 0) for i, (_, s) in enumerate(letters)]
-    p = ring.p
-    rows = {}
-    layer = None
-    for alpha in alphas:
-        coeffs = tuple(alpha.coeffs)
-        values = rows.get(coeffs)
-        if values is None:
-            # integral Fractions become ints: the sums stay in native ints
-            cs = [c.numerator if c.denominator == 1 else c for c in coeffs]
-            values = rows[coeffs] = [cs[g] * s for g, s in letters]
-        if layer is None:
-            layer = values
-            continue
-        acc = [0, *accumulate(layer)]
-        if p:
-            layer = [acc[c] * v % p for c, v in zip(reach, values)]
-        else:
-            layer = [acc[c] * v for c, v in zip(reach, values)]
-    return ring.normalize(sum(layer))
+    # integral Fractions become ints: the sums stay in native ints
+    key = tuple(tuple(c.numerator if c.denominator == 1 else c for c in alpha.coeffs)
+                for alpha in alphas)
+    return _chain_values(_prefixes([key]), _layout(w.letters), ring)[key]
 
 
 def braiding_number(T, w):

@@ -34,10 +34,10 @@ def _emit(doc):
 
 
 def _load_presentation(args, parser):
-    if getattr(args, "presentation", None):
+    if args.presentation:
         with open(args.presentation, "r", encoding="utf-8") as fh:
             return parse_presentation(fh.read())
-    if getattr(args, "gens", None):
+    if args.gens:
         return Presentation.free(Alphabet.parse(args.gens))
     parser.error(f"'{args.command}' needs --presentation or --gens")
 
@@ -83,6 +83,8 @@ def _cmd_pair(args, ring, P):
 
 
 def _cmd_invariants(args, ring, P):
+    if args.weight < 0:
+        raise ValueError("weight must be >= 0")
     basis = invariants_basis(P, args.weight + 1, ring)
     if args.format == "json":
         elements = [dict(weight=w, **tensor_to_json(e))
@@ -205,19 +207,25 @@ def _cmd_oracle(args, ring, _P):
     return 0
 
 
+# Each command's required flags, then the flags it may take besides
+# --ring and --format; a command given any other flag is a usage error.
+_SOURCE = ("gens", "presentation")
 _COMMANDS = {
-    "magnus": (_cmd_magnus, {"word", "order"}, {"gens-or-presentation"}),
-    "braid": (_cmd_braid, {"tensor", "word"}, {"gens-or-presentation"}),
-    "pair": (_cmd_pair, {"tensor", "word"}, {"gens-or-presentation"}),
-    "invariants": (_cmd_invariants, {"weight"}, {"gens-or-presentation"}),
-    "check": (_cmd_check, {"tensor"}, {"gens-or-presentation"}),
-    "depth": (_cmd_depth, {"word", "order"}, {"gens-or-presentation"}),
-    "pullback": (_cmd_pullback, {"tensor", "endo"}, {"gens-or-presentation"}),
-    "johnson": (_cmd_johnson, {"endo"}, {"gens-or-presentation"}),
-    "oracle": (_cmd_oracle, {"table"}, set()),
+    "magnus": (_cmd_magnus, ("word", "order"), _SOURCE),
+    "braid": (_cmd_braid, ("tensor", "word"), _SOURCE),
+    "pair": (_cmd_pair, ("tensor", "word"), _SOURCE + ("order",)),
+    "invariants": (_cmd_invariants, ("weight",), _SOURCE),
+    "check": (_cmd_check, ("tensor",), _SOURCE),
+    "depth": (_cmd_depth, ("word", "order"), _SOURCE),
+    "pullback": (_cmd_pullback, ("tensor", "endo"), _SOURCE + ("order",)),
+    "johnson": (_cmd_johnson, ("endo",), _SOURCE + ("order", "weight")),
+    "oracle": (_cmd_oracle, ("table",), ("order", "word")),
 }
 
+# In the order the subparsers list them.
 _FLAGS = {
+    "gens": dict(help="inline free-group generators, e.g. 'x y'"),
+    "presentation": dict(help="path to a presentation file"),
     "word": dict(help="word expression, e.g. '[x,y] x^2'"),
     "tensor": dict(help="tensor expression, e.g. 'x|y + z'"),
     "order": dict(type=int, help="truncation order N"),
@@ -231,17 +239,13 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="lb", description="letter-braiding invariants, exactly")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, flags, _) in _COMMANDS.items():
+    for name, (_fn, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--ring", default="z", help="z | q | fp:<p>")
         p.add_argument("--format", default="json", choices=["text", "json", "latex"])
-        p.add_argument("--gens", help="inline free-group generators, e.g. 'x y'")
-        p.add_argument("--presentation", help="path to a presentation file")
-        for flag in ("word", "tensor", "order", "weight", "endo", "table"):
-            if flag in flags or (name == "johnson" and flag in ("order", "weight")) \
-                    or (name in ("pair", "pullback") and flag == "order") \
-                    or (name == "oracle" and flag in ("order", "word")):
-                p.add_argument(f"--{flag}", **_FLAGS[flag])
+        for flag, spec in _FLAGS.items():
+            if flag in required or flag in optional:
+                p.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -250,12 +254,12 @@ def main(argv=None):
     default_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
-        fn, required, context = _COMMANDS[args.command]
+        fn, required, optional = _COMMANDS[args.command]
         ring = ring_from_flag(args.ring)
         for flag in required:
-            if getattr(args, flag, None) is None:
+            if getattr(args, flag) is None:
                 parser.error(f"--{flag} is required for '{args.command}'")
-        P = _load_presentation(args, parser) if "gens-or-presentation" in context else None
+        P = _load_presentation(args, parser) if "gens" in optional else None
         return fn(args, ring, P)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return exc.code

@@ -7,6 +7,7 @@ JSON through the CLI.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .rings import echelon, elementary_divisors
@@ -17,7 +18,7 @@ class FiniteGroupTable:
 
     __slots__ = ("size", "mul", "identity", "gens", "inverse")
 
-    def __init__(self, size, mul, gens, validate=True):
+    def __init__(self, size, mul, gens):
         self.size = size
         self.mul = [list(row) for row in mul]
         self.gens = dict(gens)
@@ -42,16 +43,11 @@ class FiniteGroupTable:
         for name, idx in self.gens.items():
             if not 0 <= idx < size:
                 raise ValueError(f"generator {name!r} labels a bad index")
-        if validate:
-            self._check_associativity()
-
-    def _check_associativity(self):
-        n = self.size
-        if n <= 16:
-            triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+        if size <= 16:
+            triples = itertools.product(range(size), repeat=3)
         else:
             rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            triples = ((rng.randrange(size), rng.randrange(size), rng.randrange(size))
                        for _ in range(2000))
         for a, b, c in triples:
             if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:

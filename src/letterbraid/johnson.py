@@ -21,7 +21,6 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from .magnus import TruncSeries, magnus_expand
 from .presented import (DepthReport, build_truncated_quotient, invariants_basis,
                         pullback)
 from .rings import reduce
@@ -40,11 +39,12 @@ def _generator_valuations(P, endo, ring, order):
                          f"{endo.source} to {endo.target}, not {P.alphabet} to itself")
     Q = build_truncated_quotient(P, order, ring)
     vals = []
-    for i in range(len(P.alphabet)):
-        gen_word = Word.generator(P.alphabet, i)
-        diff = magnus_expand(endo.images[i], order, ring).sub(
-            magnus_expand(gen_word, order, ring))
-        vals.append(Q.filtration_valuation(Q.series_vector(diff)))
+    for i, image in enumerate(endo.images):
+        # the class of phi(s) - s, as (M(phi(s)) - 1) - (M(s) - 1)
+        diff = Q.word_vector(image)
+        for j, x in Q.word_vector(Word.generator(P.alphabet, i)).items():
+            diff[j] = ring.sub(diff.get(j, ring.zero), x)
+        vals.append(Q.filtration_valuation(diff))
     return Q, vals
 
 
@@ -93,19 +93,18 @@ def johnson_tau(P, endo, stage, ring):
         raise ValueError(
             f"endomorphism has level {min(vals) - 1} < stage {stage}: generator "
             f"{P.alphabet.names[bad]!r} moves at filtration degree {vals[bad]}")
-    _warn_on_bad_relator_images(P, endo, ring, Q)
+    _warn_on_bad_relator_images(P, endo, Q)
     basis = invariants_basis(P, order, ring)
     for elt, w in zip(basis.elements, basis.weights):
         if w <= stage and pullback(endo, elt, Q) != elt:
             raise ValueError(
                 "pullback moved an invariant of weight <= stage; tau would "
                 "not be well defined modulo lower weight")
-    weight1 = [(e, v) for e, w, v in zip(basis.elements, basis.weights, basis.vectors)
-               if w == 1]
-    # Basis vectors are echelon rows: each one's pivot is its leftmost
-    # entry, and the pivots are distinct, so the coefficients are unique.
-    w1_rows = [v for _, v in weight1]
-    w1_pivots = [min(row) for row in w1_rows]
+    weight1 = [i for i, w in enumerate(basis.weights) if w == 1]
+    # Basis vectors are echelon rows with distinct pivots, so the
+    # coefficients are unique.
+    w1_rows = [basis.vectors[i] for i in weight1]
+    w1_pivots = [basis.pivots[i] for i in weight1]
     rows = []
     labels = []
     for elt, w in zip(basis.elements, basis.weights):
@@ -123,16 +122,13 @@ def johnson_tau(P, endo, stage, ring):
         rows.append(coeffs)
         labels.append(format_tensor(elt))
     return JohnsonReport(level=_level(vals, order), stage=stage, row_labels=labels,
-                         col_labels=[format_tensor(e) for e, _ in weight1],
+                         col_labels=[format_tensor(basis.elements[i]) for i in weight1],
                          matrix=rows, ring=ring)
 
 
-def _warn_on_bad_relator_images(P, endo, ring, Q):
-    one = TruncSeries.one(ring, P.alphabet, Q.order)
+def _warn_on_bad_relator_images(P, endo, Q):
     for r in P.relators:
-        image = endo.apply(r)
-        shifted = magnus_expand(image, Q.order, ring).sub(one)
-        if Q.normal_form(Q.series_vector(shifted)):
+        if Q.normal_form(Q.word_vector(endo.apply(r))):
             warnings.warn(
                 f"endomorphism does not kill relator {format_word(r)!r} at "
                 f"truncation order {Q.order}; it may not be well defined on the "

@@ -4,13 +4,15 @@ coalgebra up to a weight bound, the invariance test with witnesses,
 dimension-series depth, pairing, and pullbacks along homomorphisms.
 
 Vectors on the monomial basis are sparse dicts {monomial index: value},
-the rows ``rings.echelon`` and ``rings.reduce`` take.
+the rows ``rings.echelon`` and ``rings.reduce`` take.  A word w enters as
+the vector of M(w) - 1 (``TruncatedQuotient.word_vector``).
 
 The quotient is presented on the monomial basis below the truncation
 order, in graded-lex order, modulo the span of the sandwiched relator
 series m1 * (M(r) - 1) * m2 over monomial pairs with
 deg(m1) + deg(m2) <= order - 2 (higher sandwiches vanish because
-M(r) - 1 has valuation at least one).
+M(r) - 1 has valuation at least one).  A sandwich's entries never
+cancel, so each column is built in one pass.
 
 The sandwich columns are sparse rows and are eliminated once, by
 ``rings.echelon``: reduced echelon rows over a field, Hermite rows over the
@@ -20,7 +22,9 @@ integral.  The filtration degree of a vector is the lowest monomial
 degree left in its normal form: monomials are in graded-lex order, every
 pivot is its row's leftmost entry and the normal form is reduced at every
 pivot, so no element of the span can cancel its lowest-degree part.  The
-invariants are the annihilator of the span, read off its echelon form.
+invariants are the annihilator of the span, read off its echelon form,
+and carry the annihilator's pivot columns: which column of a row is its
+pivot is decided in ``rings`` alone.
 Integer torsion is reported through elementary divisors, never silently
 dropped.
 
@@ -37,7 +41,7 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .magnus import TruncSeries, check_monomial_budget, magnus_expand
+from .magnus import check_monomial_budget, magnus_expand
 from .rings import annihilator, echelon, elementary_divisors, reduce
 from .tensors import TensorElement, tensor_product
 from .words import Alphabet, Word, free_reduce, format_word, parse_word
@@ -117,30 +121,28 @@ class TruncatedQuotient:
         k = len(self.alphabet)
         check_monomial_budget(k, order)
         self.monomials = monomials_below(k, order)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.index = index = {m: i for i, m in enumerate(self.monomials)}
         self.columns = []
         self.column_meta = []
         for ri, rel in enumerate(presentation.relators):
-            series = magnus_expand(rel, order, ring)
             # M(r) always has constant coefficient exactly 1, so M(r) - 1
             # is the positive-degree part of the series.
-            shifted = {key: val for key, val in series.terms.items() if key}
-            if not shifted:
-                continue
+            shifted = [(key, val) for key, val in
+                       magnus_expand(rel, order, ring).terms.items() if key]
             for d1 in range(order - 1):
                 for d2 in range(order - 1 - d1):
+                    # Distinct keys give distinct m1 + key + m2 and every
+                    # value is nonzero, so no entry cancels and a column is
+                    # empty exactly when no key fits below the order.
+                    fits = [(key, val) for key, val in shifted
+                            if len(key) < order - d1 - d2]
+                    if not fits:
+                        continue
                     for m1 in itertools.product(range(k), repeat=d1):
                         for m2 in itertools.product(range(k), repeat=d2):
-                            col = {}
-                            for key, val in shifted.items():
-                                full = m1 + key + m2
-                                if len(full) < order:
-                                    j = self.index[full]
-                                    col[j] = ring.add(col.get(j, ring.zero), val)
-                            col = {j: x for j, x in col.items() if x}
-                            if col:
-                                self.columns.append(col)
-                                self.column_meta.append((m1, ri, m2))
+                            self.columns.append({index[m1 + key + m2]: val
+                                                 for key, val in fits})
+                            self.column_meta.append((m1, ri, m2))
         self.span_rows, self.span_pivots = echelon(ring, self.columns)
         self.elementary_divisors = None if ring.is_field else elementary_divisors(
             self.span_rows, min(len(self.columns), len(self.monomials)))
@@ -157,10 +159,11 @@ class TruncatedQuotient:
             return ()
         return tuple(d for d in self.elementary_divisors if d not in (0, 1))
 
-    def series_vector(self, series):
-        if series.order != self.order:
-            raise ValueError("series order mismatch")
-        return {self.index[key]: val for key, val in series.terms.items()}
+    def word_vector(self, w):
+        """The sparse vector of M(w) - 1: the expansion of w less its
+        constant term, which is always exactly 1."""
+        series = magnus_expand(w, self.order, self.ring)
+        return {self.index[key]: val for key, val in series.terms.items() if key}
 
     def tensor_vector(self, T):
         if T.weight >= self.order:
@@ -241,15 +244,17 @@ def is_invariant(P, T):
 class InvariantBasis:
     """Canonical basis of the invariants of weight <= max_weight.  The
     vectors are the annihilator's sparse echelon rows on the quotient's
-    monomial indices, one per element."""
+    monomial indices, one per element, and ``pivots`` their pivot columns,
+    so ``rings.reduce`` can express an invariant in the basis."""
 
     __slots__ = ("ring", "alphabet", "max_weight", "elements", "weights", "vectors",
-                 "elementary_divisors")
+                 "pivots", "elementary_divisors")
 
-    def __init__(self, ring, alphabet, max_weight, elements, weights, vectors,
+    def __init__(self, ring, alphabet, max_weight, elements, weights, vectors, pivots,
                  elementary_divisors=None):
         self.ring, self.alphabet, self.max_weight = ring, alphabet, max_weight
         self.elements, self.weights, self.vectors = elements, weights, vectors
+        self.pivots = pivots
         self.elementary_divisors = elementary_divisors
 
     def __len__(self):
@@ -262,14 +267,15 @@ def invariants_basis(P, order, ring):
     lattice (the dual of the free part of the quotient), with the
     elementary divisors attached as a torsion diagnostic."""
     Q = build_truncated_quotient(P, order, ring)
-    kernel = annihilator(ring, Q.span_rows, Q.span_pivots, len(Q.monomials))
-    pairs = sorted(((TensorElement(ring, P.alphabet,
-                                   {Q.monomials[i]: x for i, x in v.items()}), v)
-                    for v in kernel), key=lambda ev: (ev[0].weight, min(ev[1])))
-    elements = [e for e, _ in pairs]
+    rows, pivots = annihilator(ring, Q.span_rows, Q.span_pivots, len(Q.monomials))
+    elements = [TensorElement(ring, P.alphabet, {Q.monomials[i]: x for i, x in v.items()})
+                for v in rows]
+    ranked = sorted(range(len(rows)), key=lambda i: (elements[i].weight, pivots[i]))
     return InvariantBasis(ring=ring, alphabet=P.alphabet, max_weight=order - 1,
-                          elements=elements, weights=[e.weight for e in elements],
-                          vectors=[v for _, v in pairs],
+                          elements=[elements[i] for i in ranked],
+                          weights=[elements[i].weight for i in ranked],
+                          vectors=[rows[i] for i in ranked],
+                          pivots=[pivots[i] for i in ranked],
                           elementary_divisors=Q.elementary_divisors)
 
 
@@ -294,11 +300,7 @@ def dimension_depth(Q, w):
     'at least order' when the class of w - 1 vanishes at truncation."""
     if w.alphabet != Q.alphabet:
         raise ValueError("alphabet mismatch")
-    ring = Q.ring
-    series = magnus_expand(w, Q.order, ring)
-    shifted = series.sub(TruncSeries.one(ring, Q.alphabet, Q.order))
-    vec = Q.series_vector(shifted)
-    k = Q.filtration_valuation(vec)
+    k = Q.filtration_valuation(Q.word_vector(w))
     if k >= Q.order:
         return DepthReport(Q.order, is_lower_bound=True)
     return DepthReport(k)

@@ -9,11 +9,13 @@ of Hermite rows.
 Scalars are ordinary Python values: ``int`` for integer and prime-field
 coefficients (prime-field residues canonical in ``0..p-1``) and
 ``fractions.Fraction`` for rationals (always in lowest terms with positive
-denominator).  There is no floating point anywhere in this package.
+denominator); Z and Q share the arithmetic ``RingSpec`` defines.  There is
+no floating point anywhere in this package.
 
 Vectors and matrix rows are sparse dicts ``{column: nonzero value}``.  Both
 echelon forms are canonical for the span, so answers read off them do not
-depend on the order in which rows arrive.
+depend on the order in which rows arrive.  ``echelon`` and ``annihilator``
+return each row's pivot column, so no other module decides which it is.
 """
 
 from __future__ import annotations
@@ -44,13 +46,33 @@ class RingSpec:
     def is_field(self):
         return self.kind != "integers"
 
-    # Subclasses provide: zero, one, from_int, add, sub, mul, neg,
-    # invert, divide (exact, raises on failure), parse, format.
+    # Subclasses provide: zero, one, from_int, invert, parse; the prime
+    # field also its own add, sub, mul, neg and format.
 
     @staticmethod
     def normalize(v):
         """Canonical form of an externally supplied value."""
         return v
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def format(v):
+        return str(v)
 
     def sum(self, values):
         total = self.zero
@@ -69,35 +91,10 @@ class IntegerRing(RingSpec):
         return int(n)
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def invert(a):
         if a in (1, -1):
             return a
         raise ValueError(f"{a} is not a unit in ZZ")
-
-    @staticmethod
-    def divide(a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in ZZ")
-        q, r = divmod(a, b)
-        if r != 0:
-            raise ValueError(f"{a} is not divisible by {b} in ZZ")
-        return q
 
     @staticmethod
     def parse(text):
@@ -105,10 +102,6 @@ class IntegerRing(RingSpec):
             return int(text)
         except ValueError:
             raise ValueError(f"malformed integer scalar {text!r}") from None
-
-    @staticmethod
-    def format(v):
-        return str(v)
 
 
 class RationalRing(RingSpec):
@@ -125,32 +118,10 @@ class RationalRing(RingSpec):
         return Fraction(v)
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def invert(a):
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in QQ")
         return 1 / Fraction(a)
-
-    @staticmethod
-    def divide(a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return Fraction(a) / b
 
     @staticmethod
     def parse(text):
@@ -159,20 +130,27 @@ class RationalRing(RingSpec):
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"malformed rational scalar {text!r}") from None
 
-    @staticmethod
-    def format(v):
-        return str(v)
+
+# Miller-Rabin on the first twelve prime bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017)); larger
+# moduli are refused rather than guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BUDGET = 3317044064679887385961981
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _is_prime(n):
+    if n >= PRIME_BUDGET:
+        raise ValueError(f"{n} is above the budget for a prime modulus: "
+                         f"p must be below {PRIME_BUDGET}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n is a strong probable prime to base b when b^d = 1 or
+    # b^(2^r d) = -1 (mod n) for some r < s
+    return all(x == 1 or any(pow(x, 2 ** r, n) == n - 1 for r in range(s))
+               for x in (pow(b, d, n) for b in _MR_BASES))
 
 
 class PrimeField(RingSpec):
@@ -208,9 +186,6 @@ class PrimeField(RingSpec):
         if a == 0:
             raise ZeroDivisionError(f"0 is not invertible in GF({self.p})")
         return pow(a, self.p - 2, self.p)
-
-    def divide(self, a, b):
-        return self.mul(a, self.invert(b))
 
     def parse(self, text):
         try:
@@ -449,7 +424,8 @@ def annihilator(ring, rows, pivots, ncols):
     """Canonical basis of {u : u . row = 0 for every row}, for echelon rows
     over ``ncols`` columns: the reduced echelon basis of the kernel over a
     field, the Hermite basis of the kernel lattice over ZZ.  The lattice is
-    saturated: every integer solution is an integer combination of it."""
+    saturated: every integer solution is an integer combination of it.
+    Returns ``(rows, pivots)`` as ``echelon`` does."""
     if ring.is_field:
         # e_f - sum_i row_i[f] e_(pivot_i) for every free column f.
         pivot_set = set(pivots)
@@ -458,7 +434,7 @@ def annihilator(ring, rows, pivots, ncols):
             for f, x in row.items():
                 if f != p:
                     free[f][p] = ring.neg(x)
-        return echelon(ring, free.values())[0]
+        return echelon(ring, free.values())
     # Hermite form of [H^T | I]: its rows that vanish on the H^T part are
     # the Hermite basis of {u : u H^T = 0}, shifted right by rank(H).
     r = len(rows)
@@ -467,7 +443,9 @@ def annihilator(ring, rows, pivots, ncols):
         for j, x in row.items():
             augmented[j][i] = x
     kernel, kpivots = echelon(ring, augmented)
-    return [{c - r: x for c, x in row.items()} for row, p in zip(kernel, kpivots) if p >= r]
+    k = sum(p < r for p in kpivots)  # rows sorted by pivot: the kept ones last
+    return ([{c - r: x for c, x in row.items()} for row in kernel[k:]],
+            [p - r for p in kpivots[k:]])
 
 
 def elementary_divisors(rows, length):

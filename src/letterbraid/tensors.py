@@ -258,6 +258,8 @@ def parse_tensor(text, alphabet, ring):
                 pending_sign = -1 if kind == "-" else 1
                 pos += 1
                 continue
+            if seen_term and pending_sign is None and kind in ("num", "name", "("):
+                raise ParseError("expected '+', '-' or '|'", tokens[pos][2])
             term = parse_chain(stop)
             if pending_sign == -1:
                 term = term.scale(ring.neg(ring.one))
@@ -310,10 +312,7 @@ def parse_tensor(text, alphabet, ring):
             elem = elem.scale(c)
         return elem
 
-    result = parse_sum(set())
-    if pos != len(tokens):
-        raise ParseError("trailing input", tokens[pos][2])
-    return result
+    return parse_sum(set())
 
 
 def format_tensor(T):

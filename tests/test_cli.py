@@ -343,6 +343,31 @@ def test_missing_required_flag_exits_two(capsys):
     assert main(["oracle", "--ring", "fp:2"]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--gens", "x y"], ["--presentation", "heis.pres"]])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, flag):
+    table = tmp_path / "heis.json"
+    table.write_text(json.dumps(heisenberg_table(2).to_json()))
+    code, out, err = run(capsys, "oracle", "--table", str(table), "--ring", "fp:2",
+                         "--order", "3", *flag)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"lb: error: unrecognized arguments: {' '.join(flag)}\n")
+
+
+def test_a_negative_weight_is_named_as_a_weight(capsys):
+    code, out, err = run(capsys, "invariants", "--gens", "x y", "--weight", "-1")
+    assert (code, out, err) == (1, "", "lb: weight must be >= 0\n")
+
+
+def test_a_large_prime_field_answers_at_once():
+    # 2^61 - 1: trial division up to its square root does not end in time.
+    proc = subprocess.run(
+        [sys.executable, "-m", "letterbraid.cli", "braid", "--gens", "x y", "--tensor", "x",
+         "--word", "x", "--ring", "fp:2305843009213693951"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"polynomial": ["0", "1"], "number": "1"}
+
+
 def test_text_format_mentions_the_convention(capsys):
     code, out, _ = run(capsys, "braid", "--gens", "x y", "--tensor", "x|x|y|x",
                        "--word", "[x*y, x^-2]", "--ring", "z", "--format", "text")

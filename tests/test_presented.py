@@ -138,10 +138,11 @@ def test_depth_report_fields_and_formats():
 def test_invariant_basis_builds_with_keywords():
     one = TensorElement.unit(ZZ, XY)
     basis = InvariantBasis(ring=ZZ, alphabet=XY, max_weight=0, elements=[one],
-                           weights=[0], vectors=[{0: 1}])
+                           weights=[0], vectors=[{0: 1}], pivots=[0])
     assert len(basis) == 1 and basis.elementary_divisors is None
     assert (basis.ring, basis.alphabet, basis.max_weight) == (ZZ, XY, 0)
     assert (basis.elements, basis.weights, basis.vectors) == ([one], [0], [{0: 1}])
+    assert basis.pivots == [0]
 
 
 def test_heisenberg_invariants(heisenberg_presentation):

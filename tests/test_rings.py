@@ -1,13 +1,15 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from letterbraid.rings import (QQ, ZZ, PrimeField, annihilator, echelon,
-                               elementary_divisors, reduce, ring_from_flag)
+from letterbraid.rings import (PRIME_BUDGET, QQ, ZZ, PrimeField, _is_prime, annihilator,
+                               echelon, elementary_divisors, reduce, ring_from_flag)
 
-from conftest import sparse
+from conftest import sparse, subprocess_env
 
 
 def sparse_rows(ring, dense_rows):
@@ -38,6 +40,34 @@ def test_prime_field_rejects_composites():
     assert PrimeField(101).invert(7) * 7 % 101 == 1
 
 
+def test_primality_agrees_with_trial_division_below_100000():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == by_trial_division(n) for n in range(100_000))
+
+
+def test_large_moduli_are_decided_at_once():
+    # Trial division up to the square root does not end on these primes;
+    # 3215031751 and 3825123056546413051 are strong pseudoprimes to the
+    # first four and the first nine prime bases.
+    script = (
+        "from letterbraid.rings import PrimeField, _is_prime\n"
+        "print([_is_prime(n) for n in (2**61 - 1, 10**18 + 9, 3215031751,"
+        " 3825123056546413051)], PrimeField(2**61 - 1).p)\n"
+        "try:\n"
+        "    PrimeField(2**89 - 1)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.stdout.splitlines() == [
+        f"[True, True, False, False] {2**61 - 1}",
+        f"{2**89 - 1} is above the budget for a prime modulus: p must be below "
+        f"{PRIME_BUDGET}"], proc.stderr
+    assert PRIME_BUDGET == 3317044064679887385961981
+
+
 def test_ring_flags():
     assert ring_from_flag("z") == ZZ
     assert ring_from_flag("q") == QQ
@@ -50,20 +80,20 @@ def test_ring_flags():
 
 def test_rational_canonical_form():
     assert QQ.parse("4/6") == Fraction(2, 3)
-    v = QQ.divide(QQ.from_int(3), QQ.from_int(-6))
+    v = QQ.mul(QQ.from_int(3), QQ.invert(QQ.from_int(-6)))
     assert v.denominator > 0 and v == Fraction(-1, 2)
 
 
 def test_kernel_of_invertible_matrix_is_empty():
-    assert kernel(QQ, [[1, 0], [0, 1]], 2) == []
+    assert kernel(QQ, [[1, 0], [0, 1]], 2) == ([], [])
 
 
 def test_integer_kernel_is_saturated_on_rank_one_example():
-    assert kernel(ZZ, [[2, -2]], 2) == [{0: 1, 1: 1}]
+    assert kernel(ZZ, [[2, -2]], 2) == ([{0: 1, 1: 1}], [0])
 
 
 def test_kernel_of_zero_map_is_standard_basis():
-    assert kernel(PrimeField(3), [[0, 0, 0]], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert kernel(PrimeField(3), [[0, 0, 0]], 3) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
 
 
 def test_smith_form_examples():
@@ -129,11 +159,11 @@ def test_integer_kernel_saturation_random():
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        basis = kernel(ZZ, rows, n)
+        basis, pivots = kernel(ZZ, rows, n)
         for v in basis:
             for row in sparse_rows(ZZ, rows):
                 assert dot(v, row) == 0
-        qbasis = kernel(QQ, rows, n)
+        qbasis, _ = kernel(QQ, rows, n)
         if not qbasis:
             assert basis == []
             continue
@@ -146,7 +176,6 @@ def test_integer_kernel_saturation_random():
         for x in combo.values():
             denom = denom * x.denominator // math.gcd(denom, x.denominator)
         target = {j: int(x * denom) for j, x in combo.items()}
-        pivots = [min(v) for v in basis]
         remainder, _ = reduce(ZZ, basis, pivots, target)
         assert remainder == {}
 
@@ -171,7 +200,9 @@ def test_rank_and_kernel_dimensions_agree():
             n = rng.randint(1, 5)
             M = [[ring.from_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
             rows, pivots = echelon(ring, sparse_rows(ring, M))
-            assert len(pivots) + len(annihilator(ring, rows, pivots, n)) == n
+            kernel_rows, kernel_pivots = annihilator(ring, rows, pivots, n)
+            assert kernel_pivots == [min(v) for v in kernel_rows]
+            assert len(pivots) + len(kernel_pivots) == n
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,37 @@ def test_parse_distributes_over_tensor_sign():
     assert parse_tensor("1/2 x", XY, QQ).coefficient((0,)) == QQ.parse("1/2")
 
 
+@pytest.mark.parametrize("text, ring, message, pos", [
+    ("x y", ZZ, "expected '+', '-' or '|'", 2),
+    ("x 2", ZZ, "expected '+', '-' or '|'", 2),
+    ("x (y)", ZZ, "expected '+', '-' or '|'", 2),
+    ("(x) y", ZZ, "expected '+', '-' or '|'", 4),
+    ("x|y z", ZZ, "expected '+', '-' or '|'", 4),
+    ("x ? y", ZZ, "unexpected character '?'", 2),
+    ("+ x", ZZ, "unexpected '+'", 0),
+    ("x - - y", ZZ, "unexpected '-'", 4),
+    ("x +", ZZ, "dangling operator", 3),
+    ("", ZZ, "empty tensor expression", 0),
+    ("()", ZZ, "empty tensor expression", 1),
+    ("x|w", ZZ, "unknown generator 'w'", 2),
+    ("(x", ZZ, "unbalanced parenthesis", 2),
+    ("x)", ZZ, "expected generator, scalar or '('", 1),
+    ("x|", ZZ, "expected generator, scalar or '('", 2),
+    ("1/2 x", ZZ, "malformed integer scalar '1/2'", 0),
+    ("1/0 x", QQ, "malformed rational scalar '1/0'", 0),
+])
+def test_tensor_parse_errors_name_message_and_position(text, ring, message, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_tensor(text, XYZ, ring)
+    assert (str(exc.value), exc.value.pos) == (f"{message} (position {pos})", pos)
+
+
+def test_scalars_and_tensor_factors_still_juxtapose():
+    assert T("2 3 x").terms == {(0,): 6}
+    assert T("2|x").terms == {(0,): 2}
+    assert T("2 (x) - (y)|3").terms == {(0,): 2, (1,): -3}
+
+
 def test_hand_built_values_are_normalized():
     F5 = PrimeField(5)
     elem = TensorElement(F5, XY, {(0,): 7, (1,): -1, (0, 1): 10})
