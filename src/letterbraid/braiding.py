@@ -60,12 +60,13 @@ class _Letters:
         if entry is None:
             if isinstance(factor, tuple):
                 mask = [factor[g] != 0 for g in self.gens]
+                signs = list(compress(self.signs, mask))
+                values = [factor[g] * s
+                          for g, s in zip(compress(self.gens, mask), signs)]
             else:
                 mask = list(map(factor.__eq__, self.gens))
+                values = signs = list(compress(self.signs, mask))
             positions = list(compress(range(len(mask)), mask))
-            signs = list(compress(self.signs, mask))
-            values = ([factor[self.gens[q]] * s for q, s in zip(positions, signs)]
-                      if isinstance(factor, tuple) else signs)
             entry = self._where[factor] = (positions, list(accumulate(mask, initial=0)),
                                            signs, values)
         return entry

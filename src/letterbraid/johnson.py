@@ -25,7 +25,7 @@ from .presented import (DepthReport, build_truncated_quotient, invariants_basis,
                         pullback)
 from .rings import reduce
 from .tensors import format_tensor
-from .words import Word, format_word, parse_hom
+from .words import Word, concat, format_word, inverse, parse_hom
 
 
 def parse_endo(text, presentation):
@@ -38,13 +38,12 @@ def _generator_valuations(P, endo, ring, order):
         raise ValueError("not an endomorphism of the presented group: it maps "
                          f"{endo.source} to {endo.target}, not {P.alphabet} to itself")
     Q = build_truncated_quotient(P, order, ring)
-    vals = []
-    for i, image in enumerate(endo.images):
-        # the class of phi(s) - s, as (M(phi(s)) - 1) - (M(s) - 1)
-        diff = Q.word_vector(image)
-        for j, x in Q.word_vector(Word.generator(P.alphabet, i)).items():
-            diff[j] = ring.sub(diff.get(j, ring.zero), x)
-        vals.append(Q.filtration_valuation(diff))
+    # M(phi(s)) - M(s) = (M(phi(s) s^-1) - 1) M(s), and M(s) is a unit of
+    # the quotient, whose filtration is by two-sided ideals: both sides
+    # have the same filtration degree
+    vals = [Q.filtration_valuation(Q.word_vector(
+                concat(image, inverse(Word.generator(P.alphabet, i)))))
+            for i, image in enumerate(endo.images)]
     return Q, vals
 
 

@@ -131,10 +131,10 @@ class RationalRing(RingSpec):
             raise ValueError(f"malformed rational scalar {text!r}") from None
 
 
-# Miller-Rabin on the first twelve prime bases decides primality exactly
-# below this bound (Sorenson and Webster, Math. Comp. 86 (2017)); larger
-# moduli are refused rather than guessed at.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the thirteen prime bases 2..41 decides primality exactly
+# below psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)); larger moduli
+# are refused rather than guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BUDGET = 3317044064679887385961981
 
 

@@ -49,12 +49,17 @@ def test_primality_agrees_with_trial_division_below_100000():
 
 def test_large_moduli_are_decided_at_once():
     # Trial division up to the square root does not end on these primes;
-    # 3215031751 and 3825123056546413051 are strong pseudoprimes to the
-    # first four and the first nine prime bases.
+    # 3215031751, 3825123056546413051 and 318665857834031151167461 are
+    # strong pseudoprimes to the first four, nine and twelve prime bases.
     script = (
         "from letterbraid.rings import PrimeField, _is_prime\n"
         "print([_is_prime(n) for n in (2**61 - 1, 10**18 + 9, 3215031751,"
-        " 3825123056546413051)], PrimeField(2**61 - 1).p)\n"
+        " 3825123056546413051, 318665857834031151167461)],"
+        " PrimeField(2**61 - 1).p)\n"
+        "try:\n"
+        "    PrimeField(318665857834031151167461)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
         "try:\n"
         "    PrimeField(2**89 - 1)\n"
         "except ValueError as exc:\n"
@@ -62,7 +67,8 @@ def test_large_moduli_are_decided_at_once():
     proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
                           capture_output=True, text=True, timeout=20)
     assert proc.stdout.splitlines() == [
-        f"[True, True, False, False] {2**61 - 1}",
+        f"[True, True, False, False, False] {2**61 - 1}",
+        "318665857834031151167461 is not prime",
         f"{2**89 - 1} is above the budget for a prime modulus: p must be below "
         f"{PRIME_BUDGET}"], proc.stderr
     assert PRIME_BUDGET == 3317044064679887385961981
