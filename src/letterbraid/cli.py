@@ -14,7 +14,7 @@ import sys
 import warnings
 
 from . import finite
-from .braiding import braiding_number, braiding_polynomial
+from .braiding import braiding_polynomial
 from .johnson import johnson_level, johnson_tau, parse_endo
 from .magnus import magnus_expand, series_to_json
 from .presented import (Presentation, build_truncated_quotient, dimension_depth,
@@ -58,7 +58,7 @@ def _cmd_braid(args, ring, P):
     T = parse_tensor(args.tensor, P.alphabet, ring)
     w = parse_word(args.word, P.alphabet)
     poly = braiding_polynomial(T, w)
-    number = braiding_number(T, w)
+    number = poly.linear_coefficient
     if args.format == "json":
         _emit({"polynomial": poly.to_strings(), "number": ring.format(number)})
     else:
@@ -71,8 +71,7 @@ def _cmd_braid(args, ring, P):
 
 def _cmd_pair(args, ring, P):
     T = parse_tensor(args.tensor, P.alphabet, ring)
-    order = T.weight + 1 if args.order is None else args.order
-    Q = build_truncated_quotient(P, order, ring)
+    Q = build_truncated_quotient(P, T.weight + 1, ring)
     w = parse_word(args.word, P.alphabet)
     value = pair(Q, T, w)
     if args.format == "json":
@@ -147,8 +146,7 @@ def _cmd_depth(args, ring, P):
 def _cmd_pullback(args, ring, P):
     hom = parse_hom(args.endo, P.alphabet)
     T = parse_tensor(args.tensor, P.alphabet, ring)
-    order = T.weight + 1 if args.order is None else args.order
-    Q = build_truncated_quotient(P, order, ring)
+    Q = build_truncated_quotient(P, T.weight + 1, ring)
     result = pullback(hom, T, Q)
     if args.format == "json":
         _emit(dict(gens=list(hom.source.names), **tensor_to_json(result)))
@@ -213,11 +211,11 @@ _SOURCE = ("gens", "presentation")
 _COMMANDS = {
     "magnus": (_cmd_magnus, ("word", "order"), _SOURCE),
     "braid": (_cmd_braid, ("tensor", "word"), _SOURCE),
-    "pair": (_cmd_pair, ("tensor", "word"), _SOURCE + ("order",)),
+    "pair": (_cmd_pair, ("tensor", "word"), _SOURCE),
     "invariants": (_cmd_invariants, ("weight",), _SOURCE),
     "check": (_cmd_check, ("tensor",), _SOURCE),
     "depth": (_cmd_depth, ("word", "order"), _SOURCE),
-    "pullback": (_cmd_pullback, ("tensor", "endo"), _SOURCE + ("order",)),
+    "pullback": (_cmd_pullback, ("tensor", "endo"), _SOURCE),
     "johnson": (_cmd_johnson, ("endo",), _SOURCE + ("order", "weight")),
     "oracle": (_cmd_oracle, ("table",), ("order", "word")),
 }
@@ -242,7 +240,9 @@ def build_parser():
     for name, (_fn, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--ring", default="z", help="z | q | fp:<p>")
-        p.add_argument("--format", default="json", choices=["text", "json", "latex"])
+        # Only the invariants table is rendered in LaTeX.
+        formats = ["text", "json"] + (["latex"] if name == "invariants" else [])
+        p.add_argument("--format", default="json", choices=formats)
         for flag, spec in _FLAGS.items():
             if flag in required or flag in optional:
                 p.add_argument(f"--{flag}", **spec)

@@ -7,9 +7,6 @@ JSON through the CLI.
 
 from __future__ import annotations
 
-import itertools
-import random
-
 from .rings import echelon, elementary_divisors
 
 
@@ -43,15 +40,18 @@ class FiniteGroupTable:
         for name, idx in self.gens.items():
             if not 0 <= idx < size:
                 raise ValueError(f"generator {name!r} labels a bad index")
-        if size <= 16:
-            triples = itertools.product(range(size), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(size), rng.randrange(size), rng.randrange(size))
-                       for _ in range(2000))
-        for a, b, c in triples:
-            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                raise ValueError(f"table is not associative at ({a},{b},{c})")
+        # Light's test: the s with (a s) b = a (s b) for all a, b are closed under
+        # products, so the generators and what their right products miss suffice.
+        gens = sorted(set(self.gens.values()))
+        reached, frontier = set(gens), gens
+        while frontier:
+            frontier = {self.mul[a][g] for a in frontier for g in gens} - reached
+            reached |= frontier
+        for s in gens + [s for s in range(size) if s not in reached]:
+            for a, row in enumerate(self.mul):
+                for b in range(size):
+                    if self.mul[row[s]][b] != row[self.mul[s][b]]:
+                        raise ValueError(f"table is not associative at ({a},{s},{b})")
 
     @classmethod
     def from_json(cls, data):

@@ -21,8 +21,8 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from .presented import (DepthReport, build_truncated_quotient, invariants_basis,
-                        pullback)
+from .presented import (DepthReport, build_truncated_quotient, dimension_depth,
+                        invariants_basis, pullback)
 from .rings import reduce
 from .tensors import format_tensor
 from .words import Word, concat, format_word, inverse, parse_hom
@@ -33,7 +33,8 @@ def parse_endo(text, presentation):
     return parse_hom(text, presentation.alphabet, source=presentation.alphabet)
 
 
-def _generator_valuations(P, endo, ring, order):
+def _moves(P, endo, ring, order):
+    """The quotient, each generator's move as the depth of phi(s) s^-1, and the level."""
     if endo.source != P.alphabet or endo.target != P.alphabet:
         raise ValueError("not an endomorphism of the presented group: it maps "
                          f"{endo.source} to {endo.target}, not {P.alphabet} to itself")
@@ -41,10 +42,11 @@ def _generator_valuations(P, endo, ring, order):
     # M(phi(s)) - M(s) = (M(phi(s) s^-1) - 1) M(s), and M(s) is a unit of
     # the quotient, whose filtration is by two-sided ideals: both sides
     # have the same filtration degree
-    vals = [Q.filtration_valuation(Q.word_vector(
-                concat(image, inverse(Word.generator(P.alphabet, i)))))
-            for i, image in enumerate(endo.images)]
-    return Q, vals
+    depths = [dimension_depth(Q, concat(image, inverse(Word.generator(P.alphabet, i))))
+              for i, image in enumerate(endo.images)]
+    # Exact depths sort below the bound '>= order'; no generators, no move.
+    low = min(depths, default=DepthReport(order, is_lower_bound=True))
+    return Q, depths, DepthReport(low.value - 1, low.is_lower_bound)
 
 
 def johnson_level(P, endo, ring, order):
@@ -55,14 +57,7 @@ def johnson_level(P, endo, ring, order):
     modulo I^(k+1) fixes the whole truncated quotient ring.  ``endo`` is a
     GroupHom from P's alphabet to itself; anything else is a ValueError.
     """
-    _, vals = _generator_valuations(P, endo, ring, order)
-    return _level(vals, order)
-
-
-def _level(vals, order):
-    if all(v >= order for v in vals):
-        return DepthReport(order - 1, is_lower_bound=True)
-    return DepthReport(min(vals) - 1)
+    return _moves(P, endo, ring, order)[2]
 
 
 class JohnsonReport(namedtuple("JohnsonReport",
@@ -86,12 +81,12 @@ def johnson_tau(P, endo, stage, ring):
     failed requirement raises ValueError.
     """
     order = stage + 2
-    Q, vals = _generator_valuations(P, endo, ring, order)
-    if not all(v >= stage + 1 for v in vals):
-        bad = min(range(len(vals)), key=lambda i: vals[i])
+    Q, depths, level = _moves(P, endo, ring, order)
+    if level.value < stage:
+        bad = depths.index(min(depths))
         raise ValueError(
-            f"endomorphism has level {min(vals) - 1} < stage {stage}: generator "
-            f"{P.alphabet.names[bad]!r} moves at filtration degree {vals[bad]}")
+            f"endomorphism has level {level.value} < stage {stage}: generator "
+            f"{P.alphabet.names[bad]!r} moves at filtration degree {depths[bad].value}")
     _warn_on_bad_relator_images(P, endo, Q)
     basis = invariants_basis(P, order, ring)
     for elt, w in zip(basis.elements, basis.weights):
@@ -120,7 +115,7 @@ def johnson_tau(P, endo, stage, ring):
                 "tau image is not a combination of weight-1 invariants")
         rows.append(coeffs)
         labels.append(format_tensor(elt))
-    return JohnsonReport(level=_level(vals, order), stage=stage, row_labels=labels,
+    return JohnsonReport(level=level, stage=stage, row_labels=labels,
                          col_labels=[format_tensor(basis.elements[i]) for i in weight1],
                          matrix=rows, ring=ring)
 

@@ -16,17 +16,16 @@ cancel, so each column is built in one pass.
 
 The sandwich columns are sparse rows and are eliminated once, by
 ``rings.echelon``: reduced echelon rows over a field, Hermite rows over the
-integers.  Every answer is read off those rows.  Normal forms are
-canonical remainders (``rings.reduce``), so membership questions are
-integral.  The filtration degree of a vector is the lowest monomial
-degree left in its normal form: monomials are in graded-lex order, every
-pivot is its row's leftmost entry and the normal form is reduced at every
-pivot, so no element of the span can cancel its lowest-degree part.  The
-invariants are the annihilator of the span, read off its echelon form,
-and carry the annihilator's pivot columns: which column of a row is its
-pivot is decided in ``rings`` alone.
-Integer torsion is reported through elementary divisors, never silently
-dropped.
+integers.  Every answer but invariance (see ``is_invariant``) is read off
+those rows.  Normal forms are canonical remainders (``rings.reduce``), so
+membership questions are integral.  The filtration degree of a vector is
+the lowest monomial degree left in its normal form: monomials are in
+graded-lex order, every pivot is its row's leftmost entry and the normal
+form is reduced at every pivot, so no element of the span can cancel its
+lowest-degree part.  The invariants are the annihilator of the span, read
+off its echelon form, and carry the annihilator's pivot columns: which
+column of a row is its pivot is decided in ``rings`` alone.  Integer
+torsion is reported through elementary divisors, never silently dropped.
 
 Pullbacks are the coalgebra map of a homomorphism h: the coefficient of
 h^*(T) at (s1, ..., sk) sums, over the k-fold cuts B1 | ... | Bk of T's
@@ -107,9 +106,8 @@ def monomials_below(n_gens, order):
 class TruncatedQuotient:
     """A[G]/I^order presented by monomials modulo the relator-ideal span."""
 
-    __slots__ = ("ring", "alphabet", "order", "presentation", "monomials",
-                 "index", "columns", "column_meta", "span_rows", "span_pivots",
-                 "elementary_divisors")
+    __slots__ = ("ring", "alphabet", "order", "monomials", "index", "columns",
+                 "span_rows", "span_pivots", "elementary_divisors")
 
     def __init__(self, presentation, order, ring):
         if order < 1:
@@ -117,14 +115,12 @@ class TruncatedQuotient:
         self.ring = ring
         self.alphabet = presentation.alphabet
         self.order = order
-        self.presentation = presentation
         k = len(self.alphabet)
         check_monomial_budget(k, order)
         self.monomials = monomials_below(k, order)
         self.index = index = {m: i for i, m in enumerate(self.monomials)}
         self.columns = []
-        self.column_meta = []
-        for ri, rel in enumerate(presentation.relators):
+        for rel in presentation.relators:
             # M(r) always has constant coefficient exactly 1, so M(r) - 1
             # is the positive-degree part of the series.
             shifted = [(key, val) for key, val in
@@ -142,7 +138,6 @@ class TruncatedQuotient:
                         for m2 in itertools.product(range(k), repeat=d2):
                             self.columns.append({index[m1 + key + m2]: val
                                                  for key, val in fits})
-                            self.column_meta.append((m1, ri, m2))
         self.span_rows, self.span_pivots = echelon(ring, self.columns)
         self.elementary_divisors = None if ring.is_field else elementary_divisors(
             self.span_rows, min(len(self.columns), len(self.monomials)))
@@ -228,17 +223,26 @@ class Witness(namedtuple("Witness", "left relator_index relator right value")):
 
 
 def is_invariant(P, T):
-    """Whether T's coefficient functional annihilates the relator-ideal
-    span at order weight(T) + 1.  Returns (flag, witness-or-None)."""
-    ring = T.ring
-    Q = build_truncated_quotient(P, T.weight + 1, ring)
-    vec = Q.tensor_vector(T)
-    for col, meta in zip(Q.columns, Q.column_meta):
-        s = ring.sum(ring.mul(vec[i], x) for i, x in col.items() if i in vec)
-        if s != ring.zero:
-            m1, ri, m2 = meta
-            return False, Witness(m1, ri, P.relators[ri], m2, s)
-    return True, None
+    """Whether T's coefficient functional kills every sandwich
+    m1 * (M(r) - 1) * m2 at order weight(T) + 1, with no quotient built: a
+    key m1 + mid + m2, mid nonempty, adds T[key] * M(r)[mid] to (r, m1, m2),
+    and no other sandwich can be nonzero.  Returns (flag, witness or None),
+    the first nonzero sandwich in column order (r, |m1|, |m2|, m1, m2)."""
+    ring, order = T.ring, T.weight + 1
+    check_monomial_budget(len(P.alphabet), order)
+    sums = {}
+    for ri, rel in enumerate(P.relators):
+        series = magnus_expand(rel, order, ring).terms
+        for key, c in T.terms.items():
+            for i, j in itertools.combinations(range(len(key) + 1), 2):
+                if key[i:j] in series:
+                    s = (ri, i, len(key) - j, key[:i], key[j:])
+                    sums[s] = ring.add(sums.get(s, ring.zero), ring.mul(c, series[key[i:j]]))
+    first = min((s for s, val in sums.items() if val != ring.zero), default=None)
+    if first is None:
+        return True, None
+    ri, _, _, m1, m2 = first
+    return False, Witness(m1, ri, P.relators[ri], m2, sums[first])
 
 
 class InvariantBasis:

@@ -16,6 +16,8 @@ the production kernels they check.
   coproduct listed;
 * the free group ring and Fox calculus, and ``trunc_mul``, the truncated
   product of series;
+* ``sandwich_witness``: the invariance check with every relator sandwich
+  listed and multiplied out by ``trunc_mul``;
 * ``all_power_dims``: the shapes of A[G]/I^k for every k, with no stop at
   stabilisation;
 * ``reference_parse_word``: the word grammar read by a character-by-character
@@ -60,6 +62,7 @@ augments.  This matches the coefficient of X_{i1}...X_{ik} in the Magnus
 expansion.
 """
 
+import itertools
 import re
 
 from letterbraid import words
@@ -380,6 +383,32 @@ def trunc_mul(a, b):
                 key = k1 + k2
                 out[key] = ring.add(out.get(key, ring.zero), ring.mul(v1, v2))
     return TruncSeries(ring, a.alphabet, order, out)
+
+
+def sandwich_witness(P, T):
+    """``presented.is_invariant`` by listing every sandwich
+    m1 * (M(r) - 1) * m2 at order weight(T) + 1, in the order (relator,
+    |m1|, |m2|, m1, m2), each built with ``trunc_mul`` and paired with T's
+    coefficient functional.  Returns (True, None) or (False, (m1, relator
+    index, m2, value)) for the first sandwich that pairs to nonzero."""
+    ring, alphabet = T.ring, T.alphabet
+    order = T.weight + 1
+
+    def monomial(m):
+        return TruncSeries(ring, alphabet, order, {m: ring.one})
+
+    for ri, r in enumerate(P.relators):
+        shifted = magnus_expand(r, order, ring).sub(TruncSeries.one(ring, alphabet, order))
+        for d1 in range(order - 1):
+            for d2 in range(order - 1 - d1):
+                for m1 in itertools.product(range(len(alphabet)), repeat=d1):
+                    for m2 in itertools.product(range(len(alphabet)), repeat=d2):
+                        s = trunc_mul(trunc_mul(monomial(m1), shifted), monomial(m2))
+                        value = ring.sum(ring.mul(c, s.coefficient(key))
+                                         for key, c in T.terms.items())
+                        if value != ring.zero:
+                            return False, (m1, ri, m2, value)
+    return True, None
 
 
 def all_power_dims(table, ring, N):

@@ -10,7 +10,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import letterbraid as lb
 from letterbraid.cli import main
-from letterbraid.finite import heisenberg_table
+from letterbraid.finite import cyclic_table, direct_product_table, heisenberg_table
 from letterbraid.tensors import parse_tensor, tensor_from_json
 from letterbraid.rings import PrimeField
 
@@ -115,8 +115,6 @@ def test_magnus_schema_and_values(capsys):
 ORDER_ZERO_ARGS = {
     "magnus": ["--word", "x y"],
     "depth": ["--word", "x y"],
-    "pair": ["--tensor", "x", "--word", "x y"],
-    "pullback": ["--endo", "s -> x y", "--tensor", "x"],
     "johnson": ["--endo", "x -> x, y -> y"],
 }
 
@@ -140,6 +138,19 @@ def test_order_above_the_monomial_budget_exits_one(capsys, command):
         assert (code, out) == (1, "")
         assert err == (f"lb: truncation order {order} over 2 generators needs more "
                        "than the cap of 200000 monomials; lower the order\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["pair", "--word", "x y"], ["pullback", "--endo", "s -> x y"]],
+    ids=["check", "pair", "pullback"])
+def test_tensor_weight_above_the_monomial_budget_exits_one(capsys, argv):
+    # These commands truncate at weight + 1, so the tensor's weight alone
+    # meets the cap, and is refused with the same message.
+    code, out, err = run(capsys, *argv, "--gens", "x,y", "--tensor", "|".join("x" * 20),
+                         "--ring", "z")
+    assert (code, out) == (1, "")
+    assert err == ("lb: truncation order 21 over 2 generators needs more "
+                   "than the cap of 200000 monomials; lower the order\n")
 
 
 def test_word_above_the_letter_budget_exits_two(capsys):
@@ -181,7 +192,7 @@ def test_check_failure_is_a_result_not_an_error(capsys, tmp_path):
 def test_pullback_command(capsys):
     code, out, _ = run(capsys, "pullback", "--gens", "e1 e2",
                        "--endo", "s -> e1 e2", "--tensor", "e1|e2",
-                       "--ring", "z", "--order", "3")
+                       "--ring", "z")
     assert code == 0
     doc = json.loads(out)
     check_schema("pullback", doc)
@@ -244,6 +255,21 @@ def test_long_tensors_are_answered_without_listing_cuts(argv):
     json.loads(proc.stdout)
 
 
+def test_invariance_check_reads_only_the_tensors_sandwiches(tmp_path):
+    # Weight 8 on the genus-2 surface group: a quotient at order 9 has
+    # 87,381 monomials, and eliminating it takes longer than the timeout.
+    pres = tmp_path / "surface.pres"
+    pres.write_text("gens: a1 b1 a2 b2\nrel: [a1,b1] [a2,b2]\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "letterbraid.cli", "check", "--presentation", str(pres),
+         "--tensor", "a1|a1|a1|a1|a1|a1|a1|b1", "--ring", "fp:2"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"invariant": False, "witness": {
+        "left": ["a1"] * 6, "relator": "a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1",
+        "right": [], "value": "1"}}
+
+
 def test_the_runtime_imports_only_the_standard_library():
     code = ("import sys, letterbraid, letterbraid.cli; "
             "print(' '.join(sorted(sys.modules)))")
@@ -284,6 +310,17 @@ def test_oracle_rejects_malformed_tables(capsys, tmp_path):
                              "--ring", "fp:2", "--order", "2")
         assert (code, out) == (1, ""), doc
         assert err.startswith("lb: table"), doc
+
+
+def test_oracle_rejects_a_table_that_is_not_associative(capsys, tmp_path):
+    doc = direct_product_table(cyclic_table(8, "x"), cyclic_table(8, "y")).to_json()
+    doc["mul"][1][1] = 1
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "oracle", "--table", str(table),
+                         "--ring", "fp:2", "--order", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("lb: table is not associative at ")
 
 
 def test_johnson_domain_failures_exit_one(capsys, tmp_path):
@@ -329,10 +366,6 @@ def test_parse_errors_exit_two(capsys):
 
 
 def test_domain_errors_exit_one(capsys):
-    code, _, err = run(capsys, "pair", "--gens", "x", "--tensor", "x|x",
-                       "--word", "x", "--order", "2", "--ring", "z")
-    assert code == 1
-    assert "weight" in err
     code, _, err = run(capsys, "braid", "--gens", "x", "--tensor", "x",
                        "--word", "x", "--ring", "fp:9")
     assert code == 1
@@ -351,6 +384,36 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, fla
                          "--order", "3", *flag)
     assert (code, out) == (2, "")
     assert err.endswith(f"lb: error: unrecognized arguments: {' '.join(flag)}\n")
+
+
+# The least argv of each command; --format latex is rendered by invariants
+# alone, and pair and pullback truncate at the tensor's weight + 1.
+LEAST_ARGS = {
+    "magnus": ["--gens", "x y", "--word", "x", "--order", "2"],
+    "braid": ["--gens", "x y", "--tensor", "x|y", "--word", "x y"],
+    "pair": ["--gens", "x y", "--tensor", "x|y", "--word", "x y"],
+    "check": ["--gens", "x y", "--tensor", "x|y"],
+    "depth": ["--gens", "x y", "--word", "x", "--order", "2"],
+    "pullback": ["--gens", "x y", "--endo", "s -> x y", "--tensor", "x"],
+    "johnson": ["--gens", "x y", "--endo", "x -> x, y -> y", "--order", "3"],
+    "oracle": ["--table", "heis.json", "--order", "2"],
+}
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    *[pytest.param(c, ["--format", "latex"], "argument --format: invalid choice: 'latex'",
+                   id=f"{c}-latex") for c in LEAST_ARGS],
+    *[pytest.param(c, ["--order", "3"], "lb: error: unrecognized arguments: --order 3",
+                   id=f"{c}-order") for c in ("pair", "pullback")],
+])
+def test_an_option_that_changes_nothing_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                         command, extra, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "heis.json").write_text(json.dumps(heisenberg_table(2).to_json()))
+    assert run(capsys, command, *LEAST_ARGS[command])[0] == 0
+    code, out, err = run(capsys, command, *LEAST_ARGS[command], *extra)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_a_negative_weight_is_named_as_a_weight(capsys):

@@ -30,6 +30,21 @@ def test_table_validation():
     assert t.inverse[1] == 3
 
 
+def test_associativity_is_checked_on_every_triple():
+    # Z/8 x Z/8 with one entry changed: 248 of its 262,144 triples are not
+    # associative, too few for a sample of triples to meet.
+    t = direct_product_table(cyclic_table(8, "x"), cyclic_table(8, "y"))
+    mul = [list(row) for row in t.mul]
+    assert mul[1][1] == 2
+    mul[1][1] = 1
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupTable(t.size, mul, t.gens)
+    # Elements the generators' products miss are checked as well: here the
+    # one generator is the identity, at which every table is associative.
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupTable(3, [[0, 1, 2], [1, 0, 1], [2, 1, 0]], {"e": 0})
+
+
 def test_table_json_round_trip():
     t = heisenberg_table(2)
     t2 = FiniteGroupTable.from_json(t.to_json())

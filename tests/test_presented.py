@@ -20,7 +20,7 @@ from letterbraid.words import Alphabet, GroupHom, Word, parse_word
 from conftest import (XY, XYZ, cyclic_presentation, free_presentation, in_span,
                       merge_keys, nested_commutator, random_tensor, random_word,
                       sparse)
-from oracles import cut_pullback, trunc_mul
+from oracles import cut_pullback, sandwich_witness, trunc_mul
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -207,6 +207,33 @@ def test_invariance_failures_match_multi_evaluations(surface_presentation):
         assert not ok
         words = witness.multi_evaluation_words(P.alphabet)
         assert multi_evaluation(T, words) == witness.value != 0
+
+
+def test_invariance_matches_the_listed_sandwiches(heisenberg_presentation,
+                                                  surface_presentation, pb3_presentation):
+    # Flag and witness both: the witness is the first nonzero sandwich in
+    # the order (relator, |m1|, |m2|, m1, m2), so an ordering by
+    # (|m2|, |m1|) fails here.
+    z2 = parse_presentation("gens: x y\nrel: [x,y]\n")
+    bs12 = parse_presentation("gens: a b\nrel: b a b^-1 a^-2\n")
+    rng = random.Random(54)
+    for P in (heisenberg_presentation, surface_presentation, pb3_presentation, z2, bs12):
+        for ring in (ZZ, QQ, F2, F3):
+            basis = invariants_basis(P, 4, ring)
+            cases = [random_tensor(rng, P.alphabet, ring, rng.randint(0, 4))
+                     for _ in range(8)]
+            for nudge in (False, True):
+                T = TensorElement.zero(ring, P.alphabet)
+                for e in basis.elements:
+                    T = T.add(e.scale(ring.from_int(rng.randint(-2, 2))))
+                if nudge:
+                    T = T.add(random_tensor(rng, P.alphabet, ring, 3, max_terms=1))
+                cases.append(T)
+            for T in cases:
+                ok, witness = is_invariant(P, T)
+                found = None if ok else (witness.left, witness.relator_index,
+                                         witness.right, witness.value)
+                assert (ok, found) == sandwich_witness(P, T), (P, ring, T)
 
 
 # ---------------------------------------------------------------------------

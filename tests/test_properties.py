@@ -122,9 +122,9 @@ FUZZ_POOLS = {
 }
 FUZZ_FLAGS = {
     "magnus": ["word", "order"], "braid": ["tensor", "word"],
-    "pair": ["tensor", "word", "order"], "invariants": ["weight"],
+    "pair": ["tensor", "word"], "invariants": ["weight"],
     "check": ["tensor"], "depth": ["word", "order"],
-    "pullback": ["tensor", "endo", "order"], "johnson": ["endo", "order", "weight"],
+    "pullback": ["tensor", "endo"], "johnson": ["endo", "order", "weight"],
     "oracle": ["table", "order", "word"],
 }
 
