@@ -16,7 +16,7 @@ import warnings
 from . import finite
 from .braiding import braiding_polynomial
 from .johnson import johnson_level, johnson_tau, parse_endo
-from .magnus import magnus_expand, series_to_json
+from .magnus import check_monomial_budget, magnus_expand, series_to_json
 from .presented import (Presentation, build_truncated_quotient, dimension_depth,
                         invariants_basis, is_invariant, pair, parse_presentation,
                         pullback)
@@ -69,9 +69,16 @@ def _cmd_braid(args, ring, P):
     return 0
 
 
+def _weight_quotient(P, T, ring):
+    """The quotient at order weight(T) + 1, which a command with no --order
+    truncates at: over the monomial cap, the message names the weight."""
+    check_monomial_budget(len(P.alphabet), T.weight + 1, T.weight)
+    return build_truncated_quotient(P, T.weight + 1, ring)
+
+
 def _cmd_pair(args, ring, P):
     T = parse_tensor(args.tensor, P.alphabet, ring)
-    Q = build_truncated_quotient(P, T.weight + 1, ring)
+    Q = _weight_quotient(P, T, ring)
     w = parse_word(args.word, P.alphabet)
     value = pair(Q, T, w)
     if args.format == "json":
@@ -146,7 +153,7 @@ def _cmd_depth(args, ring, P):
 def _cmd_pullback(args, ring, P):
     hom = parse_hom(args.endo, P.alphabet)
     T = parse_tensor(args.tensor, P.alphabet, ring)
-    Q = build_truncated_quotient(P, T.weight + 1, ring)
+    Q = _weight_quotient(P, T, ring)
     result = pullback(hom, T, Q)
     if args.format == "json":
         _emit(dict(gens=list(hom.source.names), **tensor_to_json(result)))
@@ -185,7 +192,7 @@ def _cmd_oracle(args, ring, _P):
     with open(args.table, "r", encoding="utf-8") as fh:
         table = finite.FiniteGroupTable.from_json(json.load(fh))
     doc = {}
-    if args.order:
+    if args.order is not None:
         dims = finite.ideal_power_dims(table, ring, args.order)
         if ring.is_field:
             doc["dims"] = dims

@@ -123,6 +123,8 @@ def ideal_power_dims(table, ring, N):
     first.
     """
     n = table.size
+    if N < 1:
+        raise ValueError("order must be >= 1")
     if N > MAX_POWER_ORDER:
         raise ValueError(f"order {N} is above the budget of "
                          f"{MAX_POWER_ORDER} ideal powers")

@@ -15,16 +15,22 @@ from .rings import Combination
 MONOMIAL_CAP = 200_000
 
 
-def check_monomial_budget(n_gens, order):
+def check_monomial_budget(n_gens, order, weight=None):
     """Raise ValueError when the monomials of degree < order over n_gens
     generators number more than MONOMIAL_CAP, counting at least one per
     degree: each degree costs a slot even over no generators.  The count
     stops at the cap, so a huge order is refused before anything is
-    allocated."""
+    allocated.  ``weight`` is given where a tensor's weight set the order
+    (order = weight + 1), and the message then names the weight."""
     count, level = 0, 1
     for _ in range(order):
         count += level or 1
         if count > MONOMIAL_CAP:
+            if weight is not None:
+                raise ValueError(
+                    f"a tensor of weight {weight} over {n_gens} generators needs "
+                    f"truncation order {order}, more than the cap of {MONOMIAL_CAP} "
+                    "monomials; lower the weight")
             raise ValueError(
                 f"truncation order {order} over {n_gens} generators needs more "
                 f"than the cap of {MONOMIAL_CAP} monomials; lower the order")

@@ -22,7 +22,13 @@ membership questions are integral.  The filtration degree of a vector is
 the lowest monomial degree left in its normal form: monomials are in
 graded-lex order, every pivot is its row's leftmost entry and the normal
 form is reduced at every pivot, so no element of the span can cancel its
-lowest-degree part.  The invariants are the annihilator of the span, read
+lowest-degree part.  For the same reason the degree <= d part of a normal
+form depends on the degree <= d part of the vector alone: a row whose
+pivot has degree above d has no entry of degree d or less, and
+``rings.reduce`` visits the pivots in increasing column order.  So
+``dimension_depth`` decides depth one from the exponent sums (the order-2
+expansion), and expands a word to the full order only when its class in
+degree one vanishes.  The invariants are the annihilator of the span, read
 off its echelon form, and carry the annihilator's pivot columns: which
 column of a row is its pivot is decided in ``rings`` alone.  Integer
 torsion is reported through elementary divisors, never silently dropped.
@@ -229,7 +235,7 @@ def is_invariant(P, T):
     and no other sandwich can be nonzero.  Returns (flag, witness or None),
     the first nonzero sandwich in column order (r, |m1|, |m2|, m1, m2)."""
     ring, order = T.ring, T.weight + 1
-    check_monomial_budget(len(P.alphabet), order)
+    check_monomial_budget(len(P.alphabet), order, T.weight)
     sums = {}
     for ri, rel in enumerate(P.relators):
         series = magnus_expand(rel, order, ring).terms
@@ -301,9 +307,24 @@ class DepthReport(namedtuple("DepthReport", "value is_lower_bound", defaults=(Fa
 
 def dimension_depth(Q, w):
     """Largest k < order with (w - 1) in I^k, exact; or the bound
-    'at least order' when the class of w - 1 vanishes at truncation."""
+    'at least order' when the class of w - 1 vanishes at truncation.
+
+    Degree one is decided first, from the order-2 expansion: the exponent
+    sums, which give the class of w - 1 in I/I^2 = H_1(G; A).  This is
+    exact because the degree-1 part of a normal form depends on the
+    degree-1 part of the vector alone (see the module docstring), and it
+    is the *reduced* degree-1 part that is read: x^2 in a group with the
+    relator x^2 has exponent sum 2 over Z, and class 0 in degree one.
+    Only a word whose class vanishes there is expanded to the full order.
+    """
     if w.alphabet != Q.alphabet:
         raise ValueError("alphabet mismatch")
+    if Q.order > 2:
+        sums = magnus_expand(w, 2, Q.ring).terms
+        head = {Q.index[key]: val for key, val in sums.items() if key}
+        # All exponent sums zero (a commutator, say): nothing to reduce.
+        if head and Q.filtration_valuation(head) == 1:
+            return DepthReport(1)
     k = Q.filtration_valuation(Q.word_vector(w))
     if k >= Q.order:
         return DepthReport(Q.order, is_lower_bound=True)

@@ -20,6 +20,8 @@ the production kernels they check.
   listed and multiplied out by ``trunc_mul``;
 * ``all_power_dims``: the shapes of A[G]/I^k for every k, with no stop at
   stabilisation;
+* ``full_order_depth``: the dimension-series depth read off one expansion
+  of the word at the full truncation order, with no degree-one step first;
 * ``reference_parse_word``: the word grammar read by a character-by-character
   tokenizer into a token list, then by recursive descent, building each
   letter as a new ``Letter``.
@@ -68,6 +70,7 @@ import re
 from letterbraid import words
 from letterbraid.finite import _convolve
 from letterbraid.magnus import TruncSeries, magnus_expand
+from letterbraid.presented import DepthReport
 from letterbraid.rings import Combination, echelon, elementary_divisors
 from letterbraid.tensors import (BraidPolynomial, Functional, TensorElement,
                                  iterated_reduced_coproduct, tensor_product)
@@ -409,6 +412,14 @@ def sandwich_witness(P, T):
                         if value != ring.zero:
                             return False, (m1, ri, m2, value)
     return True, None
+
+
+def full_order_depth(Q, w):
+    """``presented.dimension_depth`` as the lowest degree left in the normal
+    form of M(w) - 1 expanded at Q's order, or the bound '>= order' when
+    that normal form vanishes."""
+    k = Q.filtration_valuation(Q.word_vector(w))
+    return DepthReport(Q.order, is_lower_bound=True) if k >= Q.order else DepthReport(k)
 
 
 def all_power_dims(table, ring, N):

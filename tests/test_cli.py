@@ -119,13 +119,18 @@ ORDER_ZERO_ARGS = {
 }
 
 
-@pytest.mark.parametrize("command", list(ORDER_ZERO_ARGS))
-def test_magnus_order_zero_exits_one(capsys, command):
-    # An explicit --order 0 is refused, never replaced by a default order.
-    code, out, err = run(capsys, command, "--gens", "x,y", *ORDER_ZERO_ARGS[command],
-                         "--order", "0", "--ring", "z")
-    assert (code, out) == (1, "")
-    assert err == "lb: order must be >= 1\n"
+@pytest.mark.parametrize("command", [*ORDER_ZERO_ARGS, "oracle"])
+def test_magnus_order_zero_exits_one(capsys, tmp_path, monkeypatch, command):
+    # An explicit order below 1 is refused, never replaced by a default
+    # order or read as no order.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "heis.json").write_text(json.dumps(heisenberg_table(2).to_json()))
+    source = (["--table", "heis.json"] if command == "oracle"
+              else ["--gens", "x,y", *ORDER_ZERO_ARGS[command]])
+    for order in ("0", "-1"):
+        code, out, err = run(capsys, command, *source, "--order", order, "--ring", "z")
+        assert (code, out) == (1, "")
+        assert err == "lb: order must be >= 1\n"
 
 
 @pytest.mark.parametrize("command", list(ORDER_ZERO_ARGS))
@@ -144,13 +149,13 @@ def test_order_above_the_monomial_budget_exits_one(capsys, command):
     ["check"], ["pair", "--word", "x y"], ["pullback", "--endo", "s -> x y"]],
     ids=["check", "pair", "pullback"])
 def test_tensor_weight_above_the_monomial_budget_exits_one(capsys, argv):
-    # These commands truncate at weight + 1, so the tensor's weight alone
-    # meets the cap, and is refused with the same message.
+    # These commands truncate at weight + 1 and take no --order, so the
+    # tensor's weight alone meets the cap, and the message names the weight.
     code, out, err = run(capsys, *argv, "--gens", "x,y", "--tensor", "|".join("x" * 20),
                          "--ring", "z")
     assert (code, out) == (1, "")
-    assert err == ("lb: truncation order 21 over 2 generators needs more "
-                   "than the cap of 200000 monomials; lower the order\n")
+    assert err == ("lb: a tensor of weight 20 over 2 generators needs truncation "
+                   "order 21, more than the cap of 200000 monomials; lower the weight\n")
 
 
 def test_word_above_the_letter_budget_exits_two(capsys):

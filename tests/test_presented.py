@@ -20,7 +20,7 @@ from letterbraid.words import Alphabet, GroupHom, Word, parse_word
 from conftest import (XY, XYZ, cyclic_presentation, free_presentation, in_span,
                       merge_keys, nested_commutator, random_tensor, random_word,
                       sparse)
-from oracles import cut_pullback, sandwich_witness, trunc_mul
+from oracles import cut_pullback, full_order_depth, sandwich_witness, trunc_mul
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -269,6 +269,90 @@ def test_depth_is_integral_over_the_integers():
     Qz = build_truncated_quotient(P, 3, ZZ)
     w = parse_word("x^2 y^2 [y,x]", P.alphabet)
     assert dimension_depth(Qz, w).value == 1
+
+
+# The five presentations of the benchmark's quotient workloads.
+DEPTH_PRESENTATIONS = {
+    "heisenberg": "gens: x y z\nrel: x^2\nrel: y^2\nrel: z^2\nrel: [x,y] z^-1\n",
+    "surface": "gens: a1 b1 a2 b2\nrel: [a1,b1] [a2,b2]\n",
+    "pb3": "gens: A12 A13 A23\nrel: [A12 A13 A23, A13]\nrel: [A12 A13 A23, A23]\n",
+    "z2": "gens: x y\nrel: [x,y]\n",
+    "bs12": "gens: a b\nrel: b a b^-1 a^-2\n",
+}
+
+
+def depth_words(rng, P):
+    """The identity, pure powers, conjugated relators, nested commutators of
+    depth 2-5 with short random entries, and random words."""
+    A = P.alphabet
+    ws = [Word.identity(A)]
+    ws += [lb.power(Word.generator(A, g), p) for g in range(len(A)) for p in (1, 2, 3, 4)]
+    for r in P.relators:
+        u = random_word(rng, A, 3)
+        ws.append(lb.concat(lb.concat(u, lb.power(r, rng.choice((1, -1)))), lb.inverse(u)))
+    for depth in range(2, 6):
+        w = random_word(rng, A, 2, 1)
+        for _ in range(depth - 1):
+            w = lb.commutator(w, random_word(rng, A, 2, 1))
+        ws.append(w)
+    ws += [random_word(rng, A, 12) for _ in range(3)]
+    return ws
+
+
+@pytest.mark.parametrize("name", list(DEPTH_PRESENTATIONS))
+def test_depth_and_johnson_level_match_the_full_order_expansion(name):
+    # The degree-one step must give the answer of one expansion at the
+    # full order: reduced exponent sums, not raw ones (x^2 is a relator of
+    # the Heisenberg group), and only a degree-one remainder decides.
+    P = parse_presentation(DEPTH_PRESENTATIONS[name])
+    A = P.alphabet
+    rng = random.Random(f"depth:{name}")
+    for ring in (ZZ, QQ, F2, F3):
+        for order in range(1, 7):
+            Q = build_truncated_quotient(P, order, ring)
+            for w in depth_words(rng, P):
+                assert dimension_depth(Q, w) == full_order_depth(Q, w), (ring, order, w)
+            for _ in range(2):
+                u = random_word(rng, A, 2)
+                inner = [lb.concat(lb.concat(u, Word.generator(A, g)), lb.inverse(u))
+                         for g in range(len(A))]
+                moved = [lb.concat(Word.generator(A, g), lb.commutator(
+                    random_word(rng, A, 2, 1), random_word(rng, A, 2, 1)))
+                    for g in range(len(A))]
+                for images in (inner, moved):
+                    endo = GroupHom(A, A, tuple(images))
+                    low = min(full_order_depth(Q, lb.concat(img, lb.inverse(
+                        Word.generator(A, g)))) for g, img in enumerate(images))
+                    assert lb.johnson_level(P, endo, ring, order) == DepthReport(
+                        low.value - 1, low.is_lower_bound), (ring, order, images)
+
+
+def test_depth_one_reads_only_the_exponent_sums(monkeypatch, surface_presentation,
+                                                heisenberg_presentation):
+    # A word of depth one is expanded once, at order 2; a deeper word at
+    # order 2 and then at the quotient's order; at order 2 or less the
+    # first expansion is already the full one.
+    S, H = surface_presentation, heisenberg_presentation
+    cases = [(S, 5, F2, "a1 b1^3 a2", DepthReport(1), [2]),
+             (S, 5, F2, "a1^2", DepthReport(2), [2, 5]),
+             (S, 5, F2, "[a1,b1] [a2,b2]", DepthReport(5, True), [2, 5]),
+             (S, 2, F2, "a1 b1", DepthReport(1), [2]),
+             (S, 1, F2, "a1", DepthReport(1, True), [1]),
+             # exponent sum 2, but x^2 is a relator: class 0 in degree one
+             (H, 5, ZZ, "y x^2 y^-1", DepthReport(5, True), [2, 5]),
+             (H, 5, ZZ, "x^3", DepthReport(1), [2])]
+    quotients = [build_truncated_quotient(P, n, ring) for P, n, ring, *_ in cases]
+    orders = []
+
+    def recording(w, order, ring):
+        orders.append(order)
+        return magnus_expand(w, order, ring)
+
+    monkeypatch.setattr(lb.presented, "magnus_expand", recording)
+    for Q, (P, _, _, text, expected, calls) in zip(quotients, cases):
+        orders.clear()
+        assert dimension_depth(Q, parse_word(text, P.alphabet)) == expected, text
+        assert orders == calls, text
 
 
 # ---------------------------------------------------------------------------
