@@ -109,8 +109,7 @@ def _cmd_invariants(args, ring, P):
     else:
         for e, w in zip(basis.elements, basis.weights):
             print(f"[weight {w}] {format_tensor(e)}")
-        if basis.elementary_divisors is not None and any(
-                d not in (0, 1) for d in basis.elementary_divisors):
+        if any(d not in (0, 1) for d in basis.elementary_divisors or ()):
             print("elementary divisors: "
                   + " ".join(str(d) for d in basis.elementary_divisors))
     return 0
@@ -163,14 +162,15 @@ def _cmd_pullback(args, ring, P):
 
 
 def _cmd_johnson(args, ring, P):
+    if args.weight is not None and args.weight < 1:
+        raise ValueError("weight (the tau stage) must be >= 1")
     endo = parse_endo(args.endo, P)
     order = 4 if args.order is None else args.order
     level = johnson_level(P, endo, ring, order)
-    stage = args.weight
-    if stage is None and not level.is_lower_bound:
-        stage = level.value
+    # Without --weight, tau at the level itself when the level is exact.
+    stage = args.weight or (0 if level.is_lower_bound else level.value)
     doc = {"level": level.json_value()}
-    if stage is not None and stage >= 1:
+    if stage >= 1:
         report = johnson_tau(P, endo, stage, ring)
         doc["tau"] = {"stage": report.stage,
                       "rows": report.row_labels,

@@ -135,15 +135,15 @@ def ideal_power_dims(table, ring, N):
     aug_basis = [{g: ring.one, table.identity: ring.neg(ring.one)}
                  for g in range(n) if g != table.identity]
     out = []
-    power, _ = echelon(ring, aug_basis)
+    power = echelon(ring, aug_basis)
     while len(out) < N:
         if ring.is_field:
             out.append(n - len(power))
         else:
             divisors = elementary_divisors(power, len(power))
             out.append((n - len(power), tuple(d for d in divisors if d != 1)))
-        products = [_convolve(ring, table, v, w) for v in power for w in aug_basis]
-        nxt, _ = echelon(ring, products)
+        products = [_convolve(ring, table, v, w) for v in power.values() for w in aug_basis]
+        nxt = echelon(ring, products)
         if ring.is_field and len(nxt) == len(power):
             out += out[-1:] * (N - len(out))  # I^(k+1) = I^k from here on
         power = nxt

@@ -94,11 +94,9 @@ def johnson_tau(P, endo, stage, ring):
             raise ValueError(
                 "pullback moved an invariant of weight <= stage; tau would "
                 "not be well defined modulo lower weight")
-    weight1 = [i for i, w in enumerate(basis.weights) if w == 1]
     # Basis vectors are echelon rows with distinct pivots, so the
     # coefficients are unique.
-    w1_rows = [basis.vectors[i] for i in weight1]
-    w1_pivots = [basis.pivots[i] for i in weight1]
+    weight1 = {p: v for (p, v), w in zip(basis.vectors.items(), basis.weights) if w == 1}
     rows = []
     labels = []
     for elt, w in zip(basis.elements, basis.weights):
@@ -109,14 +107,15 @@ def johnson_tau(P, endo, stage, ring):
             raise ValueError("tau image has weight > 1")
         if delta.counit != ring.zero:
             raise ValueError("tau image has a unit part")
-        remainder, coeffs = reduce(ring, w1_rows, w1_pivots, Q.tensor_vector(delta))
+        remainder, coeffs = reduce(ring, weight1, Q.tensor_vector(delta))
         if remainder:
             raise ValueError(
                 "tau image is not a combination of weight-1 invariants")
-        rows.append(coeffs)
+        rows.append([coeffs.get(p, ring.zero) for p in weight1])
         labels.append(format_tensor(elt))
     return JohnsonReport(level=level, stage=stage, row_labels=labels,
-                         col_labels=[format_tensor(basis.elements[i]) for i in weight1],
+                         col_labels=[format_tensor(e) for e, w in
+                                     zip(basis.elements, basis.weights) if w == 1],
                          matrix=rows, ring=ring)
 
 

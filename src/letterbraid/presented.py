@@ -14,24 +14,24 @@ deg(m1) + deg(m2) <= order - 2 (higher sandwiches vanish because
 M(r) - 1 has valuation at least one).  A sandwich's entries never
 cancel, so each column is built in one pass.
 
-The sandwich columns are sparse rows and are eliminated once, by
-``rings.echelon``: reduced echelon rows over a field, Hermite rows over the
-integers.  Every answer but invariance (see ``is_invariant``) is read off
-those rows.  Normal forms are canonical remainders (``rings.reduce``), so
-membership questions are integral.  The filtration degree of a vector is
-the lowest monomial degree left in its normal form: monomials are in
-graded-lex order, every pivot is its row's leftmost entry and the normal
-form is reduced at every pivot, so no element of the span can cancel its
-lowest-degree part.  For the same reason the degree <= d part of a normal
-form depends on the degree <= d part of the vector alone: a row whose
-pivot has degree above d has no entry of degree d or less, and
-``rings.reduce`` visits the pivots in increasing column order.  So
-``dimension_depth`` decides depth one from the exponent sums (the order-2
-expansion), and expands a word to the full order only when its class in
-degree one vanishes.  The invariants are the annihilator of the span, read
-off its echelon form, and carry the annihilator's pivot columns: which
-column of a row is its pivot is decided in ``rings`` alone.  Integer
-torsion is reported through elementary divisors, never silently dropped.
+The sandwich columns are eliminated once, by ``rings.echelon``, into
+``span_rows`` = {pivot column: row}: reduced echelon rows over a field,
+Hermite rows over the integers.  Every answer but invariance (see
+``is_invariant``) is read off those rows.  Normal forms are canonical
+remainders (``rings.reduce``), so membership questions are integral.  The
+filtration degree of a vector is the lowest monomial degree left in its
+normal form: monomials are in graded-lex order, every pivot is its row's
+leftmost entry and the normal form is reduced at every pivot, so no element
+of the span can cancel its lowest-degree part.  For the same reason the
+degree <= d part of a normal form depends on the degree <= d part of the
+vector alone: a row whose pivot has degree above d has no entry of degree d
+or less, and ``rings.reduce`` visits the pivots in increasing column order.
+So ``dimension_depth`` decides depth one from the exponent sums (the
+order-2 expansion), and expands a word to the full order only when its
+class in degree one vanishes.  The invariants are the annihilator of the
+span, keyed like it by pivot column, which ``rings`` alone decides.
+Integer torsion is reported through elementary divisors, computed only
+where an answer reads them, and never silently dropped.
 
 Pullbacks are the coalgebra map of a homomorphism h: the coefficient of
 h^*(T) at (s1, ..., sk) sums, over the k-fold cuts B1 | ... | Bk of T's
@@ -113,7 +113,7 @@ class TruncatedQuotient:
     """A[G]/I^order presented by monomials modulo the relator-ideal span."""
 
     __slots__ = ("ring", "alphabet", "order", "monomials", "index", "columns",
-                 "span_rows", "span_pivots", "elementary_divisors")
+                 "span_rows")
 
     def __init__(self, presentation, order, ring):
         if order < 1:
@@ -144,9 +144,7 @@ class TruncatedQuotient:
                         for m2 in itertools.product(range(k), repeat=d2):
                             self.columns.append({index[m1 + key + m2]: val
                                                  for key, val in fits})
-        self.span_rows, self.span_pivots = echelon(ring, self.columns)
-        self.elementary_divisors = None if ring.is_field else elementary_divisors(
-            self.span_rows, min(len(self.columns), len(self.monomials)))
+        self.span_rows = echelon(ring, self.columns)
 
     @property
     def rank(self):
@@ -156,9 +154,7 @@ class TruncatedQuotient:
 
     @property
     def torsion_divisors(self):
-        if self.elementary_divisors is None:
-            return ()
-        return tuple(d for d in self.elementary_divisors if d not in (0, 1))
+        return tuple(d for d in _divisors(self) or () if d not in (0, 1))
 
     def word_vector(self, w):
         """The sparse vector of M(w) - 1: the expansion of w less its
@@ -174,7 +170,7 @@ class TruncatedQuotient:
     def normal_form(self, vec):
         """Canonical representative of the sparse vector vec modulo the
         relator-ideal span, as a sparse vector."""
-        return reduce(self.ring, self.span_rows, self.span_pivots, vec)[0]
+        return reduce(self.ring, self.span_rows, vec)[0]
 
     def filtration_valuation(self, vec):
         """Largest k <= order with vec in the image of degree >= k monomials
@@ -183,6 +179,12 @@ class TruncatedQuotient:
         lowest monomial degree in the support of the normal form."""
         return min((len(self.monomials[i]) for i in self.normal_form(vec)),
                    default=self.order)
+
+
+def _divisors(Q):
+    """The Smith divisor chain of the span over ZZ, None over a field."""
+    if not Q.ring.is_field:
+        return elementary_divisors(Q.span_rows, min(len(Q.columns), len(Q.monomials)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -199,6 +201,8 @@ def pair(Q, T, combo):
     ring = Q.ring
     if T.ring != ring:
         raise ValueError("ring mismatch")
+    if T.alphabet != Q.alphabet:
+        raise ValueError("alphabet mismatch")
     if T.weight >= Q.order:
         raise ValueError(f"tensor weight {T.weight} >= truncation order {Q.order}")
     if isinstance(combo, Word):
@@ -234,6 +238,8 @@ def is_invariant(P, T):
     key m1 + mid + m2, mid nonempty, adds T[key] * M(r)[mid] to (r, m1, m2),
     and no other sandwich can be nonzero.  Returns (flag, witness or None),
     the first nonzero sandwich in column order (r, |m1|, |m2|, m1, m2)."""
+    if T.alphabet != P.alphabet:
+        raise ValueError("alphabet mismatch")
     ring, order = T.ring, T.weight + 1
     check_monomial_budget(len(P.alphabet), order, T.weight)
     sums = {}
@@ -251,23 +257,18 @@ def is_invariant(P, T):
     return False, Witness(m1, ri, P.relators[ri], m2, sums[first])
 
 
-class InvariantBasis:
-    """Canonical basis of the invariants of weight <= max_weight.  The
-    vectors are the annihilator's sparse echelon rows on the quotient's
-    monomial indices, one per element, and ``pivots`` their pivot columns,
-    so ``rings.reduce`` can express an invariant in the basis."""
+class InvariantBasis(namedtuple("InvariantBasis", "ring alphabet max_weight elements "
+                                 "weights vectors elementary_divisors",
+                                 defaults=(None,))):
+    """Canonical basis of the invariants of weight <= max_weight, sorted by
+    (weight, pivot).  ``vectors`` maps each element's pivot to its sparse
+    annihilator row on the quotient's monomials, in element order: any
+    slice of it is an echelon basis for ``rings.reduce``."""
 
-    __slots__ = ("ring", "alphabet", "max_weight", "elements", "weights", "vectors",
-                 "pivots", "elementary_divisors")
-
-    def __init__(self, ring, alphabet, max_weight, elements, weights, vectors, pivots,
-                 elementary_divisors=None):
-        self.ring, self.alphabet, self.max_weight = ring, alphabet, max_weight
-        self.elements, self.weights, self.vectors = elements, weights, vectors
-        self.pivots = pivots
-        self.elementary_divisors = elementary_divisors
+    __slots__ = ()
 
     def __len__(self):
+        """Counts the elements, not the fields (so ``_replace`` fails)."""
         return len(self.elements)
 
 
@@ -277,16 +278,15 @@ def invariants_basis(P, order, ring):
     lattice (the dual of the free part of the quotient), with the
     elementary divisors attached as a torsion diagnostic."""
     Q = build_truncated_quotient(P, order, ring)
-    rows, pivots = annihilator(ring, Q.span_rows, Q.span_pivots, len(Q.monomials))
-    elements = [TensorElement(ring, P.alphabet, {Q.monomials[i]: x for i, x in v.items()})
-                for v in rows]
-    ranked = sorted(range(len(rows)), key=lambda i: (elements[i].weight, pivots[i]))
+    rows = annihilator(ring, Q.span_rows, len(Q.monomials))
+    elements = {p: TensorElement(ring, P.alphabet, {Q.monomials[i]: x for i, x in v.items()})
+                for p, v in rows.items()}
+    ranked = sorted(rows, key=lambda p: (elements[p].weight, p))
     return InvariantBasis(ring=ring, alphabet=P.alphabet, max_weight=order - 1,
-                          elements=[elements[i] for i in ranked],
-                          weights=[elements[i].weight for i in ranked],
-                          vectors=[rows[i] for i in ranked],
-                          pivots=[pivots[i] for i in ranked],
-                          elementary_divisors=Q.elementary_divisors)
+                          elements=[elements[p] for p in ranked],
+                          weights=[elements[p].weight for p in ranked],
+                          vectors={p: rows[p] for p in ranked},
+                          elementary_divisors=_divisors(Q))
 
 
 class DepthReport(namedtuple("DepthReport", "value is_lower_bound", defaults=(False,))):

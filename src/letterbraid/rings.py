@@ -14,8 +14,8 @@ no floating point anywhere in this package.
 
 Vectors and matrix rows are sparse dicts ``{column: nonzero value}``.  Both
 echelon forms are canonical for the span, so answers read off them do not
-depend on the order in which rows arrive.  ``echelon`` and ``annihilator``
-return each row's pivot column, so no other module decides which it is.
+depend on the order in which rows arrive.  An echelon basis is one dict
+``{pivot column: row}``, so no other module decides which column is a pivot.
 """
 
 from __future__ import annotations
@@ -305,7 +305,8 @@ def echelon(ring, rows):
     row zero at each pivot column).  Over ZZ it is the row Hermite normal
     form of the row lattice (pivots positive, entries above a pivot in
     ``[0, pivot)``).  Both are unique for the span, so equal spans give
-    equal answers.  Returns ``(rows, pivots)``, sorted by pivot column.
+    equal answers.  Returns ``{pivot column: row}`` in increasing pivot
+    order.
 
     The basis is kept in canonical form after every row, which bounds the
     integer entries by the pivots.
@@ -334,8 +335,7 @@ def echelon(ring, rows):
             v = _combine(a // g, v, -(b // g), r)
             _settle(ring, basis, c)
             _reduce(ring, v, basis)
-    pivots = sorted(basis)
-    return [basis[c] for c in pivots], pivots
+    return {c: basis[c] for c in sorted(basis)}
 
 
 def _settle(ring, basis, c):
@@ -349,18 +349,17 @@ def _settle(ring, basis, c):
         basis[p] = {p: head, **row}
 
 
-def reduce(ring, rows, pivots, vec):
-    """Reduce the sparse vector ``vec`` by echelon rows from ``echelon``.
+def reduce(ring, basis, vec):
+    """Reduce the sparse vector ``vec`` by echelon rows ``{pivot: row}``.
 
     Returns ``(remainder, multipliers)`` with ``vec = remainder + sum of
-    multipliers[i] * rows[i]``.  The remainder is the canonical
+    multipliers[p] * basis[p]``.  The remainder is the canonical
     representative of ``vec`` modulo the span: zero at every pivot column
     over a field, in ``[0, pivot)`` there over ZZ.  It is empty exactly
     when ``vec`` lies in the span (over ZZ: in the row lattice).
     """
     v = {c: x for c, x in vec.items() if x}
-    mult = _reduce(ring, v, dict(zip(pivots, rows)))
-    return v, [mult.get(c, ring.zero) for c in pivots]
+    return v, _reduce(ring, v, basis)
 
 
 def _reduce(ring, v, basis):
@@ -420,37 +419,34 @@ def _xgcd(a, b):
     return a, s0, t0
 
 
-def annihilator(ring, rows, pivots, ncols):
-    """Canonical basis of {u : u . row = 0 for every row}, for echelon rows
-    over ``ncols`` columns: the reduced echelon basis of the kernel over a
-    field, the Hermite basis of the kernel lattice over ZZ.  The lattice is
-    saturated: every integer solution is an integer combination of it.
-    Returns ``(rows, pivots)`` as ``echelon`` does."""
+def annihilator(ring, basis, ncols):
+    """Canonical basis of {u : u . row = 0 for every row}, for an echelon
+    basis over ``ncols`` columns: the reduced echelon basis of the kernel
+    over a field, the Hermite basis of the kernel lattice over ZZ.  The
+    lattice is saturated: every integer solution is an integer combination
+    of it.  Returns ``{pivot column: row}`` as ``echelon`` does."""
     if ring.is_field:
-        # e_f - sum_i row_i[f] e_(pivot_i) for every free column f.
-        pivot_set = set(pivots)
-        free = {f: {f: ring.one} for f in range(ncols) if f not in pivot_set}
-        for row, p in zip(rows, pivots):
+        # e_f - sum_p basis[p][f] e_p for every free column f.
+        free = {f: {f: ring.one} for f in range(ncols) if f not in basis}
+        for p, row in basis.items():
             for f, x in row.items():
                 if f != p:
                     free[f][p] = ring.neg(x)
         return echelon(ring, free.values())
     # Hermite form of [H^T | I]: its rows that vanish on the H^T part are
     # the Hermite basis of {u : u H^T = 0}, shifted right by rank(H).
-    r = len(rows)
+    r = len(basis)
     augmented = [{r + j: 1} for j in range(ncols)]
-    for i, row in enumerate(rows):
+    for i, row in enumerate(basis.values()):
         for j, x in row.items():
             augmented[j][i] = x
-    kernel, kpivots = echelon(ring, augmented)
-    k = sum(p < r for p in kpivots)  # rows sorted by pivot: the kept ones last
-    return ([{c - r: x for c, x in row.items()} for row in kernel[k:]],
-            [p - r for p in kpivots[k:]])
+    return {p - r: {c - r: x for c, x in row.items()}
+            for p, row in echelon(ring, augmented).items() if p >= r}
 
 
-def elementary_divisors(rows, length):
+def elementary_divisors(basis, length):
     """Smith divisor chain d1 | d2 | ... of the lattice spanned by the
-    Hermite rows ``rows`` (``echelon`` over ZZ), padded with zeros to
+    Hermite basis ``basis`` (``echelon`` over ZZ), padded with zeros to
     ``length``.
 
     A row with pivot 1 is alone in its column, so it splits off a divisor
@@ -458,16 +454,16 @@ def elementary_divisors(rows, length):
     matrix and its transpose, and the diagonal is put into divisor order
     by gcd/lcm exchanges.
     """
-    rest = [row for row in rows if row[min(row)] != 1]
+    rest = [row for p, row in basis.items() if row[p] != 1]
     while any(len(row) > 1 for row in rest):
         transposed = {}
         for i, row in enumerate(rest):
             for c, x in row.items():
                 transposed.setdefault(c, {})[i] = x
-        rest, _ = echelon(ZZ, transposed.values())
+        rest = list(echelon(ZZ, transposed.values()).values())
     diag = [x for row in rest for x in row.values()]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = math.gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return [1] * (len(rows) - len(rest)) + diag + [0] * (length - len(rows))
+    return [1] * (len(basis) - len(rest)) + diag + [0] * (length - len(basis))

@@ -14,7 +14,7 @@ import re
 from collections import namedtuple
 
 from .rings import Combination
-from .words import ParseError, _NAME
+from .words import MAX_BRACKET_DEPTH, ParseError, _NAME
 
 
 class Functional(namedtuple("Functional", "alphabet coeffs")):
@@ -161,10 +161,6 @@ class BraidPolynomial:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -1
@@ -245,8 +241,9 @@ def parse_tensor(text, alphabet, ring):
     tokens = _tokenize_tensor(text)
     pos = 0
 
-    def parse_sum(stop):
+    def parse_sum(depth):
         nonlocal pos
+        stop = (")",) if depth else ()
         acc = TensorElement.zero(ring, alphabet)
         seen_term = False
         pending_sign = None
@@ -260,7 +257,7 @@ def parse_tensor(text, alphabet, ring):
                 continue
             if seen_term and pending_sign is None and kind in ("num", "name", "("):
                 raise ParseError("expected '+', '-' or '|'", tokens[pos][2])
-            term = parse_chain(stop)
+            term = parse_chain(depth)
             if pending_sign == -1:
                 term = term.scale(ring.neg(ring.one))
             acc = acc.add(term)
@@ -273,15 +270,15 @@ def parse_tensor(text, alphabet, ring):
             raise ParseError("empty tensor expression", at)
         return acc
 
-    def parse_chain(stop):
+    def parse_chain(depth):
         nonlocal pos
-        result = parse_piece(stop)
+        result = parse_piece(depth)
         while pos < len(tokens) and tokens[pos][0] == "|":
             pos += 1
-            result = tensor_product(result, parse_piece(stop))
+            result = tensor_product(result, parse_piece(depth))
         return result
 
-    def parse_piece(stop):
+    def parse_piece(depth):
         nonlocal pos
         scalars = []
         while pos < len(tokens) and tokens[pos][0] == "num":
@@ -297,8 +294,11 @@ def parse_tensor(text, alphabet, ring):
             elem = TensorElement.from_key(ring, alphabet, (alphabet.index(name),))
             pos += 1
         elif pos < len(tokens) and tokens[pos][0] == "(":
+            if depth == MAX_BRACKET_DEPTH:
+                raise ParseError(f"brackets nested deeper than the budget of "
+                                 f"{MAX_BRACKET_DEPTH}", tokens[pos][2])
             pos += 1
-            elem = parse_sum({")"})
+            elem = parse_sum(depth + 1)
             if pos >= len(tokens) or tokens[pos][0] != ")":
                 at = tokens[pos][2] if pos < len(tokens) else len(text)
                 raise ParseError("unbalanced parenthesis", at)
@@ -312,7 +312,7 @@ def parse_tensor(text, alphabet, ring):
             elem = elem.scale(c)
         return elem
 
-    return parse_sum(set())
+    return parse_sum(0)
 
 
 def format_tensor(T):

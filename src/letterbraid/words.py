@@ -25,6 +25,8 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # Most letters a parsed word may have; checked before a power or commutator
 # is expanded, so ((x^1000)^1000)^1000 is refused, not given 10^9 letters.
 MAX_WORD_LETTERS = 10 ** 6
+# Most brackets a word or a tensor may nest, checked as each one opens.
+MAX_BRACKET_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -317,7 +319,7 @@ def parse_word(text, alphabet):
         if count > MAX_WORD_LETTERS:
             fail(f"word needs {count} letters, above the budget of {MAX_WORD_LETTERS}", at)
 
-    def product(stop):
+    def product(stop, depth):
         nonlocal t
         letters = []
         while t < n:
@@ -328,7 +330,7 @@ def parse_word(text, alphabet):
             elif tok in stop:
                 break
             else:
-                base = item()
+                base = item(depth)
             if t < n and tokens[t].__class__ is int:
                 k = tokens[t]
                 check_budget(len(base) * abs(k), t)
@@ -338,21 +340,23 @@ def parse_word(text, alphabet):
             check_budget(len(letters), start)
         return letters
 
-    def item():
+    def item(depth):
         nonlocal t
         tok, at = tokens[t], t
         t += 1
+        if (tok == "(" or tok == "[") and depth == MAX_BRACKET_DEPTH:
+            fail(f"brackets nested deeper than the budget of {MAX_BRACKET_DEPTH}", at)
         if tok == "(":
-            base = product((")",))
+            base = product((")",), depth + 1)
             if t >= n or tokens[t] != ")":
                 fail("unbalanced parenthesis", t)
             t += 1
         elif tok == "[":
-            left = product((",", "]"))
+            left = product((",", "]"), depth + 1)
             if t >= n or tokens[t] != ",":
                 fail("expected ',' in commutator", t)
             t += 1
-            right = product(("]",))
+            right = product(("]",), depth + 1)
             if t >= n or tokens[t] != "]":
                 fail("unbalanced bracket", t)
             t += 1
@@ -367,7 +371,7 @@ def parse_word(text, alphabet):
             fail(f"unknown generator {tok!r}", at)
         return base
 
-    return Word._of(alphabet, tuple(product(())))
+    return Word._of(alphabet, tuple(product((), 0)))
 
 
 def format_word(w):

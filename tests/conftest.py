@@ -76,14 +76,14 @@ def sparse(vec):
 
 def span_rank(ring, vectors):
     """Rank of the span of dense vectors."""
-    return len(echelon(ring, [sparse(v) for v in vectors])[1])
+    return len(echelon(ring, [sparse(v) for v in vectors]))
 
 
 def in_span(ring, vectors, target):
     """Whether the dense target lies in the span of the dense vectors (over
     ZZ: in their integer lattice)."""
-    rows, pivots = echelon(ring, [sparse(v) for v in vectors])
-    return reduce(ring, rows, pivots, sparse(target))[0] == {}
+    basis = echelon(ring, [sparse(v) for v in vectors])
+    return reduce(ring, basis, sparse(target))[0] == {}
 
 
 def nested_commutator(alphabet, gens):

@@ -428,15 +428,15 @@ def all_power_dims(table, ring, N):
     aug_basis = [{g: ring.one, table.identity: ring.neg(ring.one)}
                  for g in range(n) if g != table.identity]
     out = []
-    power, _ = echelon(ring, aug_basis)
+    power = echelon(ring, aug_basis)
     for _ in range(N):
         if ring.is_field:
             out.append(n - len(power))
         else:
             divisors = elementary_divisors(power, len(power))
             out.append((n - len(power), tuple(d for d in divisors if d != 1)))
-        products = [_convolve(ring, table, v, w) for v in power for w in aug_basis]
-        power, _ = echelon(ring, products)
+        products = [_convolve(ring, table, v, w) for v in power.values() for w in aug_basis]
+        power = echelon(ring, products)
     return out
 
 

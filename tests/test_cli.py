@@ -167,6 +167,14 @@ def test_word_above_the_letter_budget_exits_two(capsys):
         assert err.startswith("lb: parse error: ") and "budget" in err
 
 
+def test_brackets_above_the_depth_budget_exit_two(capsys):
+    deep = "(" * 1000 + "x" + ")" * 1000
+    for tensor, word in ((deep, "x"), ("x", deep)):
+        code, out, err = run(capsys, "braid", "--gens", "x", "--tensor", tensor, "--word", word)
+        assert (code, out) == (2, "")
+        assert err.startswith("lb: parse error: ") and "budget of 100" in err
+
+
 def test_pair_command(capsys, tmp_path):
     pres = tmp_path / "ab.pres"
     pres.write_text("gens: x y\nrel: [x,y]\n")
@@ -422,8 +430,15 @@ def test_an_option_that_changes_nothing_is_a_usage_error(capsys, tmp_path, monke
 
 
 def test_a_negative_weight_is_named_as_a_weight(capsys):
-    code, out, err = run(capsys, "invariants", "--gens", "x y", "--weight", "-1")
-    assert (code, out, err) == (1, "", "lb: weight must be >= 0\n")
+    endo = ("--endo", "x -> x, y -> x y x^-1")
+    for argv, message in [
+            (("invariants", "--gens", "x y", "--weight", "-1"), "weight must be >= 0"),
+            (("johnson", "--gens", "x y", *endo, "--weight", "-3"),
+             "weight (the tau stage) must be >= 1"),
+            (("johnson", "--gens", "x y", *endo, "--weight", "0"),
+             "weight (the tau stage) must be >= 1")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"lb: {message}\n"), argv
 
 
 def test_a_large_prime_field_answers_at_once():

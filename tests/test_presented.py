@@ -12,7 +12,7 @@ from letterbraid.presented import (DepthReport, InvariantBasis, Presentation,
                                    monomials_below, pair, parse_presentation,
                                    pullback)
 from letterbraid.magnus import TruncSeries, magnus_expand
-from letterbraid.rings import QQ, ZZ, PrimeField
+from letterbraid.rings import QQ, ZZ, PrimeField, elementary_divisors
 from letterbraid.tensors import (TensorElement, parse_tensor,
                                  reduced_coproduct)
 from letterbraid.words import Alphabet, GroupHom, Word, parse_word
@@ -108,6 +108,20 @@ def test_pair_rejects_overweight_tensors():
         pair(Q, TensorElement.from_key(ZZ, P.alphabet, (0, 0)), parse_word("x", P.alphabet))
 
 
+def test_pair_refuses_a_tensor_over_another_alphabet():
+    P = parse_presentation("gens: x y\nrel: [x,y]\n")
+    Q = build_truncated_quotient(P, 3, ZZ)
+    T = parse_tensor("a|b", Alphabet(["a", "b"]), ZZ)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        pair(Q, T, parse_word("x", P.alphabet))
+
+
+def test_is_invariant_refuses_a_tensor_over_another_alphabet(heisenberg_presentation):
+    T = parse_tensor("t|s", Alphabet(["p", "q", "r", "s", "t"]), ZZ)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        is_invariant(heisenberg_presentation, T)
+
+
 def test_equal_presentations_share_one_cached_quotient():
     text = "gens: x y\nrel: x x^-1 [x, y]\n"
     P1, P2 = parse_presentation(text), parse_presentation(text)
@@ -138,11 +152,11 @@ def test_depth_report_fields_and_formats():
 def test_invariant_basis_builds_with_keywords():
     one = TensorElement.unit(ZZ, XY)
     basis = InvariantBasis(ring=ZZ, alphabet=XY, max_weight=0, elements=[one],
-                           weights=[0], vectors=[{0: 1}], pivots=[0])
+                           weights=[0], vectors={0: {0: 1}})
     assert len(basis) == 1 and basis.elementary_divisors is None
     assert (basis.ring, basis.alphabet, basis.max_weight) == (ZZ, XY, 0)
-    assert (basis.elements, basis.weights, basis.vectors) == ([one], [0], [{0: 1}])
-    assert basis.pivots == [0]
+    assert (basis.elements, basis.weights, basis.vectors) == ([one], [0], {0: {0: 1}})
+    assert list(basis.vectors) == [0]
 
 
 def test_heisenberg_invariants(heisenberg_presentation):
@@ -151,7 +165,7 @@ def test_heisenberg_invariants(heisenberg_presentation):
     assert len(basis) == 5
     assert basis.weights == [0, 1, 1, 2, 2]
     Q = build_truncated_quotient(P, 3, F2)
-    vectors = [dense(Q, v) for v in basis.vectors]
+    vectors = [dense(Q, v) for v in basis.vectors.values()]
     xy_plus_z = dense(Q, Q.tensor_vector(tensor("x|y + z", P, F2)))
     assert in_span(F2, vectors, xy_plus_z)
     z_alone = dense(Q, Q.tensor_vector(tensor("z", P, F2)))
@@ -526,7 +540,7 @@ def test_coalgebra_closure(heisenberg_presentation, pb3_presentation):
         mons = Q.monomials
         pair_index = {(a, b): k for k, (a, b) in
                       enumerate(itertools.product(mons, mons))}
-        vectors = [dense(Q, v) for v in basis.vectors]
+        vectors = [dense(Q, v) for v in basis.vectors.values()]
         cols = []
         for va in vectors:
             for vb in vectors:
@@ -668,7 +682,8 @@ def test_torsion_divisors_match_sympy(heisenberg_presentation):
         Q = build_truncated_quotient(P, N, ZZ)
         M = sympy.Matrix([dense(Q, col) for col in Q.columns])
         expected = [int(d) for d in invariant_factors(M, domain=sympy.ZZ)]
-        assert Q.elementary_divisors == expected, (P, N)
+        assert elementary_divisors(Q.span_rows, min(len(Q.columns), len(Q.monomials))) \
+            == expected, (P, N)
         assert invariants_basis(P, N, ZZ).elementary_divisors == expected
         assert Q.torsion_divisors == tuple(d for d in expected if d not in (0, 1))
     assert build_truncated_quotient(heisenberg_presentation, 4, ZZ).torsion_divisors

@@ -1,6 +1,7 @@
 """Property tests: the linear-combination laws shared by tensors,
-truncated series and group-ring elements, parser round trips, and fuzzed
-``lb`` command lines.
+truncated series and group-ring elements, the laws of the echelon format
+(``{pivot: row}``) of ``rings``, parser round trips, and fuzzed ``lb``
+command lines.
 
 Example counts are kept small and derandomized, so the suite stays fast
 and every run draws the same cases.
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from letterbraid.cli import main
 from letterbraid.finite import heisenberg_table
 from letterbraid.magnus import TruncSeries
-from letterbraid.rings import QQ, ZZ, PrimeField
+from letterbraid.rings import QQ, ZZ, PrimeField, annihilator, echelon, reduce
 from letterbraid.tensors import TensorElement, format_tensor, parse_tensor
 from letterbraid.words import Letter, Word, format_word, parse_word
 
@@ -101,6 +102,77 @@ def test_tensor_format_round_trips(ring):
 def test_word_format_round_trips(letters):
     w = Word(XY, letters)
     assert parse_word(format_word(w), XY) == w
+
+
+# ---------------------------------------------------------------------------
+# the echelon format: echelon and annihilator return {pivot: row}, reduce
+# takes it and returns (remainder, {pivot: multiplier})
+
+NCOLS = 6
+
+
+def sparse_vectors(ring):
+    return st.dictionaries(st.integers(0, NCOLS - 1), scalars(ring), max_size=NCOLS)
+
+
+def axpy(ring, v, c, row):
+    """v + c * row, without zeros."""
+    out = dict(v)
+    for k, x in row.items():
+        out[k] = ring.add(out.get(k, ring.zero), ring.mul(c, x))
+    return {k: x for k, x in out.items() if x != ring.zero}
+
+
+def check_echelon_format(ring, basis):
+    """Keys increase, each is its row's least column, and the rows are
+    reduced at each other's pivots (reduced echelon over a field, Hermite
+    over ZZ)."""
+    assert list(basis) == sorted(basis)
+    for p, row in basis.items():
+        assert row and p == min(row)
+        for q, other in basis.items():
+            x = other.get(p, ring.zero)
+            if ring.is_field:
+                assert x == (ring.one if q == p else ring.zero)
+            else:
+                assert row[p] > 0 if q == p else 0 <= x < row[p]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_echelon_laws(ring):
+    @LAWS
+    @given(st.lists(sparse_vectors(ring), max_size=5), sparse_vectors(ring),
+           st.lists(scalars(ring), min_size=5, max_size=5))
+    def laws(rows, v, coeffs):
+        basis = echelon(ring, rows)
+        check_echelon_format(ring, basis)
+        remainder, mult = reduce(ring, basis, v)
+        # the remainder is canonical: the same for every vector of v's coset
+        moved = v
+        for c, row in zip(coeffs, rows):
+            moved = axpy(ring, moved, c, row)
+        assert reduce(ring, basis, moved)[0] == remainder
+        for p, row in basis.items():
+            if ring.is_field:
+                assert p not in remainder
+            else:
+                assert 0 <= remainder.get(p, 0) < row[p]
+        # v = remainder + sum mult[p] * basis[p]
+        assert set(mult) <= set(basis)
+        rebuilt = remainder
+        for p, q in mult.items():
+            rebuilt = axpy(ring, rebuilt, q, basis[p])
+        assert rebuilt == {k: x for k, x in v.items() if x != ring.zero}
+        # the annihilator is the orthogonal complement: rank + nullity = NCOLS
+        kernel = annihilator(ring, basis, NCOLS)
+        check_echelon_format(ring, kernel)
+        for u in kernel.values():
+            for row in basis.values():
+                assert ring.sum(ring.mul(x, row.get(k, ring.zero)) for k, x in u.items()) \
+                    == ring.zero
+        assert len(basis) + len(kernel) == NCOLS
+
+    laws()
 
 
 # ---------------------------------------------------------------------------

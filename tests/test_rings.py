@@ -17,12 +17,11 @@ def sparse_rows(ring, dense_rows):
 
 
 def kernel(ring, dense_rows, ncols):
-    rows, pivots = echelon(ring, sparse_rows(ring, dense_rows))
-    return annihilator(ring, rows, pivots, ncols)
+    return annihilator(ring, echelon(ring, sparse_rows(ring, dense_rows)), ncols)
 
 
 def divisors(dense_rows):
-    rows, _ = echelon(ZZ, sparse_rows(ZZ, dense_rows))
+    rows = echelon(ZZ, sparse_rows(ZZ, dense_rows))
     ncols = len(dense_rows[0]) if dense_rows else 0
     return elementary_divisors(rows, min(len(dense_rows), ncols))
 
@@ -91,15 +90,15 @@ def test_rational_canonical_form():
 
 
 def test_kernel_of_invertible_matrix_is_empty():
-    assert kernel(QQ, [[1, 0], [0, 1]], 2) == ([], [])
+    assert kernel(QQ, [[1, 0], [0, 1]], 2) == {}
 
 
 def test_integer_kernel_is_saturated_on_rank_one_example():
-    assert kernel(ZZ, [[2, -2]], 2) == ([{0: 1, 1: 1}], [0])
+    assert kernel(ZZ, [[2, -2]], 2) == {0: {0: 1, 1: 1}}
 
 
 def test_kernel_of_zero_map_is_standard_basis():
-    assert kernel(PrimeField(3), [[0, 0, 0]], 3) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
+    assert kernel(PrimeField(3), [[0, 0, 0]], 3) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
 def test_smith_form_examples():
@@ -110,21 +109,21 @@ def test_smith_form_examples():
 
 
 def test_echelon_forms_are_canonical():
-    assert echelon(QQ, [{0: 2, 1: 4}, {0: 1, 1: 3}]) == ([{0: 1}, {1: 1}], [0, 1])
-    assert echelon(ZZ, [{0: 4, 1: 1}, {0: 6}]) == ([{0: 2, 1: 2}, {1: 3}], [0, 1])
+    assert echelon(QQ, [{0: 2, 1: 4}, {0: 1, 1: 3}]) == {0: {0: 1}, 1: {1: 1}}
+    assert echelon(ZZ, [{0: 4, 1: 1}, {0: 6}]) == {0: {0: 2, 1: 2}, 1: {1: 3}}
     assert echelon(PrimeField(2), [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]) \
-        == ([{0: 1, 2: 1}, {1: 1, 2: 1}], [0, 1])
+        == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
 
 
 def test_membership_examples():
-    rows, pivots = echelon(ZZ, [{0: 2}])
-    assert reduce(ZZ, rows, pivots, {0: 4}) == ({}, [2])
-    assert reduce(ZZ, rows, pivots, {0: 3}) == ({0: 1}, [1])
-    rows, pivots = echelon(QQ, [{0: Fraction(2)}])
-    assert reduce(QQ, rows, pivots, {0: Fraction(3)}) == ({}, [Fraction(3)])
+    basis = echelon(ZZ, [{0: 2}])
+    assert reduce(ZZ, basis, {0: 4}) == ({}, {0: 2})
+    assert reduce(ZZ, basis, {0: 3}) == ({0: 1}, {0: 1})
+    basis = echelon(QQ, [{0: Fraction(2)}])
+    assert reduce(QQ, basis, {0: Fraction(3)}) == ({}, {0: Fraction(3)})
     # the remainder of a vector outside the span keeps its free part
-    rows, pivots = echelon(ZZ, [{0: 1, 1: 2}])
-    assert reduce(ZZ, rows, pivots, {0: 1, 1: 2, 2: 5}) == ({2: 5}, [1])
+    basis = echelon(ZZ, [{0: 1, 1: 2}])
+    assert reduce(ZZ, basis, {0: 1, 1: 2, 2: 5}) == ({2: 5}, {0: 1})
 
 
 def test_smith_form_random_matrices_exact():
@@ -140,7 +139,7 @@ def test_smith_form_random_matrices_exact():
         assert len(d) == min(m, n)
         nonzero = [x for x in d if x]
         assert d == nonzero + [0] * (len(d) - len(nonzero))
-        assert len(nonzero) == len(echelon(QQ, sparse_rows(QQ, M))[1])
+        assert len(nonzero) == len(echelon(QQ, sparse_rows(QQ, M)))
         for a, b in zip(nonzero, nonzero[1:]):
             assert a > 0 and b % a == 0
         assert divisors([list(col) for col in zip(*M)]) == d
@@ -165,16 +164,16 @@ def test_integer_kernel_saturation_random():
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        basis, pivots = kernel(ZZ, rows, n)
-        for v in basis:
+        basis = kernel(ZZ, rows, n)
+        for v in basis.values():
             for row in sparse_rows(ZZ, rows):
                 assert dot(v, row) == 0
-        qbasis, _ = kernel(QQ, rows, n)
+        qbasis = kernel(QQ, rows, n)
         if not qbasis:
-            assert basis == []
+            assert basis == {}
             continue
         combo = {}
-        for vec in qbasis:
+        for vec in qbasis.values():
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             for j, x in vec.items():
                 combo[j] = combo.get(j, 0) + c * x
@@ -182,7 +181,7 @@ def test_integer_kernel_saturation_random():
         for x in combo.values():
             denom = denom * x.denominator // math.gcd(denom, x.denominator)
         target = {j: int(x * denom) for j, x in combo.items()}
-        remainder, _ = reduce(ZZ, basis, pivots, target)
+        remainder, _ = reduce(ZZ, basis, target)
         assert remainder == {}
 
 
@@ -205,10 +204,10 @@ def test_rank_and_kernel_dimensions_agree():
             m = rng.randint(1, 5)
             n = rng.randint(1, 5)
             M = [[ring.from_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
-            rows, pivots = echelon(ring, sparse_rows(ring, M))
-            kernel_rows, kernel_pivots = annihilator(ring, rows, pivots, n)
-            assert kernel_pivots == [min(v) for v in kernel_rows]
-            assert len(pivots) + len(kernel_pivots) == n
+            rows = echelon(ring, sparse_rows(ring, M))
+            kernel_rows = annihilator(ring, rows, n)
+            assert list(kernel_rows) == [min(v) for v in kernel_rows.values()]
+            assert len(rows) + len(kernel_rows) == n
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def test_echelon_rank_matches_sympy():
         for density in (0.1, 0.25, 0.6):
             for _ in range(25):
                 M = random_sparse_matrix(rng, ring, density)
-                assert len(echelon(ring, sparse_rows(ring, M))[1]) == sympy_rank(ring, M), (ring, M)
+                assert len(echelon(ring, sparse_rows(ring, M))) == sympy_rank(ring, M), (ring, M)
 
 
 def test_divisors_match_sympy_invariant_factors():

@@ -7,7 +7,7 @@ from letterbraid.tensors import (BraidPolynomial, TensorElement, coproduct,
                                  format_tensor, iterated_reduced_coproduct,
                                  parse_tensor, reduced_coproduct,
                                  tensor_from_json, tensor_to_json)
-from letterbraid.words import ParseError
+from letterbraid.words import MAX_BRACKET_DEPTH, ParseError
 
 from conftest import XY, XYZ, random_tensor
 
@@ -86,6 +86,14 @@ def test_tensor_parse_errors_name_message_and_position(text, ring, message, pos)
     with pytest.raises(ParseError) as exc:
         parse_tensor(text, XYZ, ring)
     assert (str(exc.value), exc.value.pos) == (f"{message} (position {pos})", pos)
+
+
+def test_parse_tensor_refuses_brackets_above_the_depth_budget():
+    depth = MAX_BRACKET_DEPTH
+    assert T("(" * depth + "x|y" + ")" * depth) == T("x|y")
+    with pytest.raises(ParseError, match=f"budget of {depth}") as exc:
+        T("(" * 1000 + "x" + ")" * 1000)
+    assert exc.value.pos == depth
 
 
 def test_scalars_and_tensor_factors_still_juxtapose():

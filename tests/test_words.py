@@ -67,6 +67,17 @@ def test_parse_word_refuses_words_above_the_letter_budget(monkeypatch):
             parse_word(text, XY)
 
 
+def test_parse_word_refuses_brackets_above_the_depth_budget():
+    depth = words.MAX_BRACKET_DEPTH
+    assert len(parse_word("(" * depth + "x" + ")" * depth, XY)) == 1
+    assert len(parse_word("(" * (depth - 1) + "[x, y]" + ")" * (depth - 1), XY)) == 4
+    for opening in ("(", "[", "(["):
+        text = opening * 1000 + "x"
+        with pytest.raises(ParseError, match=f"budget of {depth}") as exc:
+            parse_word(text, XY)
+        assert exc.value.pos == depth and text[exc.value.pos] in "(["
+
+
 def test_free_reduce_and_inverse_basics():
     w = Word(XY, [(0, 1), (0, -1), (1, 1)])
     assert letters(free_reduce(w)) == [(1, 1)]
